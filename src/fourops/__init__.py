@@ -4,8 +4,9 @@ No square roots, no transcendental functions: complex magnitudes are
 taxicab norms, descent directions for even-order stationary structure
 come from exact powers of (1 + i/k)^2, and every analytic ingredient
 (norm inequalities, direction signs, step certificates) can be checked
-in exact rational arithmetic.  The float backend shares the same code
-path and is what the practical solver runs on.
+in exact rational arithmetic.  The float backend shares the same
+algorithm and is what the practical solver runs on; its hot kernels use
+builtin ``complex`` (+ and x only) with the same bits as ``ComplexScalar``.
 """
 
 from .scalars import (
@@ -15,7 +16,7 @@ from .scalars import (
     check_norm_product,
     product_bounds_hold,
 )
-from .poly import Polynomial, ShiftDecomposition
+from .poly import NonFiniteObjectiveError, Polynomial, ShiftDecomposition
 from .estermann import (
     BinomialTable,
     DirectionCandidate,
@@ -46,6 +47,7 @@ __all__ = [
     "NormProductVerdict",
     "check_norm_product",
     "product_bounds_hold",
+    "NonFiniteObjectiveError",
     "Polynomial",
     "ShiftDecomposition",
     "BinomialTable",

@@ -10,8 +10,10 @@ Subcommands:
 * ``nth-root``: positive real n-th root via a polynomial solve.
 * ``trace``: run one descent and export the per-step CSV record.
 
-Exit codes: 0 success, 2 usage error, 3 non-convergence (with a partial
-report on stdout).  Output for a fixed invocation and seed is
+Exit codes: 0 success, 2 usage error (including coefficients that are
+infinite, NaN or outside the float range), 3 the solve stopped early,
+by non-convergence or by an objective outside the float range (with a
+partial report on stdout).  Output for a fixed invocation and seed is
 byte-for-byte deterministic.
 """
 
@@ -23,7 +25,7 @@ import json
 import sys
 
 from .estermann import BinomialTable, verify_lemma_direct, verify_lemma_termwise
-from .poly import Polynomial
+from .poly import NonFiniteObjectiveError, Polynomial
 from .sampling import SplitMix64, random_exact_complex
 from .scalars import ComplexScalar, ZERO, check_norm_product
 from .solver import (
@@ -112,7 +114,12 @@ def load_polynomial(args) -> Polynomial:
             raise UsageError(str(err)) from None
     if poly.degree < 1:
         raise UsageError("degree must be >= 1")
-    return poly.to_float()
+    try:
+        poly = poly.to_float()
+        poly.require_finite()
+    except (OverflowError, ValueError) as err:
+        raise UsageError(str(err)) from None
+    return poly
 
 
 def _config(args) -> SolverConfig:
@@ -205,8 +212,8 @@ def cmd_check_norms(args) -> int:
 def cmd_nth_root(args) -> int:
     if args.n < 2:
         raise UsageError("n must be >= 2")
-    if not args.c > 0:
-        raise UsageError("c must be positive")
+    if not 0 < args.c < float("inf"):
+        raise UsageError("c must be positive and finite")
     try:
         value = positive_nth_root(args.c, args.n, _config(args))
     except (ConvergenceError, SolveError, ArithmeticError) as err:
@@ -218,14 +225,16 @@ def cmd_nth_root(args) -> int:
 
 def cmd_trace(args) -> int:
     poly = load_polynomial(args)
-    start = _best_start(poly)
     code = 0
     try:
-        _, trace = descend_to_root(poly, start, _config(args))
+        _, trace = descend_to_root(poly, _best_start(poly), _config(args))
     except ConvergenceError as err:
         trace = err.trace
         print(f"error: {err}", file=sys.stderr)
         code = 3
+    except NonFiniteObjectiveError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)

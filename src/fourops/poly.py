@@ -6,11 +6,24 @@ and synthetic-division deflation.
 Coefficients are stored in ascending order (constant term first).  The
 degree-n coefficient is nonzero after construction; literal zero
 coefficients at the high end are trimmed.
+
+Float kernels.  When both parts of the point are ``float``, ``evaluate``,
+``objective`` and ``taylor_shift`` run their loops on builtin ``complex``
+values (a copy of the coefficients cached on the polynomial) and convert
+back to ``ComplexScalar`` only for what they return.  The loops use
+``complex`` + and x only.  CPython computes those with the same IEEE
+expressions as ``ComplexScalar.__add__`` / ``__mul__``, and converting an
+``int`` or ``Fraction`` part to ``float`` rounds exactly as Python's mixed
+arithmetic does, so the results are bit-identical to the ``ComplexScalar``
+loops.  No complex division and no ``abs()`` of a complex value occur, so
+there is no square root and no Smith division.  Exact points keep the
+``ComplexScalar`` loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,7 +35,13 @@ from .scalars import ComplexScalar, ZERO, complex_from_json, complex_to_json
 # survive, loose enough that pure rounding debris does not fake a term.
 REL_ZERO_EPS = 2.0**-40
 
-__all__ = ["REL_ZERO_EPS", "Polynomial", "ShiftDecomposition"]
+__all__ = ["REL_ZERO_EPS", "NonFiniteObjectiveError", "Polynomial", "ShiftDecomposition"]
+
+
+class NonFiniteObjectiveError(ArithmeticError):
+    """The float objective is not a finite real number: P(z) is infinite or
+    NaN, or the product Re P(z) * Im P(z) overflowed, so the imaginary
+    part of P(z) * conj(P(z)) did not cancel to 0."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,12 +64,18 @@ class ShiftDecomposition:
 @dataclass(frozen=True, slots=True)
 class Polynomial:
     coeffs: tuple[ComplexScalar, ...]
+    # The coefficients as builtin complex values, built by the first float
+    # kernel call.
+    _complex: tuple[complex, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
         while len(coeffs) > 1 and coeffs[-1].is_zero:
             coeffs = coeffs[:-1]
-        if not coeffs or all(c.is_zero for c in coeffs):
+        # After the trim only the last coefficient can be the zero value.
+        if not coeffs or coeffs[-1].is_zero:
             raise ValueError("the zero polynomial is not representable")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -98,6 +123,16 @@ class Polynomial:
             total = total + c.one_norm()
         return total
 
+    def require_finite(self) -> None:
+        """Raise ValueError naming the first coefficient with an infinite or
+        NaN part."""
+        for j, c in enumerate(self.coeffs):
+            for part in (c.re, c.im):
+                if isinstance(part, float) and not math.isfinite(part):
+                    raise ValueError(
+                        f"coefficient {j} ({c.re!r}, {c.im!r}) is not finite"
+                    )
+
     def trailing_zero_order(self) -> int:
         """Index of the first literally nonzero coefficient (0 if a0 != 0).
 
@@ -110,8 +145,31 @@ class Polynomial:
 
     # -- evaluation -------------------------------------------------------------
 
+    def _complex_horner(self, z: ComplexScalar) -> complex | None:
+        """P(z) by the float kernel, or None unless both parts of z are
+        ``float`` and the degree is at least 1 (degree 0 returns the
+        coefficient itself, parts and all)."""
+        if not (isinstance(z.re, float) and isinstance(z.im, float)):
+            return None
+        coeffs = self._complex or self._complex_coeffs()
+        if len(coeffs) == 1:
+            return None
+        zc = complex(z.re, z.im)
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = acc * zc + c
+        return acc
+
+    def _complex_coeffs(self) -> tuple[complex, ...]:
+        coeffs = tuple(complex(c.re, c.im) for c in self.coeffs)
+        object.__setattr__(self, "_complex", coeffs)
+        return coeffs
+
     def evaluate(self, z: ComplexScalar) -> ComplexScalar:
         """Horner evaluation from the leading coefficient down."""
+        w = self._complex_horner(z)
+        if w is not None:
+            return ComplexScalar(w.real, w.imag)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * z + c
@@ -120,14 +178,23 @@ class Polynomial:
     def objective(self, z: ComplexScalar):
         """f(z) = P(z) * conj(P(z)), a real nonnegative scalar.
 
-        The product's imaginary part cancels identically (also in floats,
-        where both contributions round the same way), and that is asserted
-        rather than silently dropped.
+        The product's imaginary part cancels identically for finite P(z)
+        (also in floats, where both contributions round the same way).
+        When it does not, P(z) or Re P(z) * Im P(z) left the float range,
+        and NonFiniteObjectiveError is raised rather than the part dropped.
         """
-        w = self.evaluate(z)
-        prod = w * w.conj()
-        assert prod.im == 0, "objective must be real"
-        return prod.re
+        w = self._complex_horner(z)
+        if w is not None:
+            x, y = w.real, w.imag
+            # The parts of ComplexScalar(x, y) * ComplexScalar(x, -y).
+            re, im = x * x - y * -y, x * -y + y * x
+        else:
+            w = self.evaluate(z)
+            prod = w * w.conj()
+            re, im = prod.re, prod.im
+        if im != 0:
+            raise NonFiniteObjectiveError(f"objective at {z!r} is not a finite real number")
+        return re
 
     # -- Taylor shift -------------------------------------------------------------
 
@@ -144,20 +211,31 @@ class Polynomial:
         n = self.degree
         if n < 1:
             raise ValueError("taylor_shift requires degree >= 1")
-        b = list(self.coeffs)
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                b[j] = b[j] + z0 * b[j + 1]
+        if isinstance(z0.re, float) and isinstance(z0.im, float):
+            zc = complex(z0.re, z0.im)
+            c = list(self._complex or self._complex_coeffs())
+            for i in range(n):
+                acc = c[n]
+                for j in range(n - 1, i - 1, -1):
+                    acc = c[j] + zc * acc
+                    c[j] = acc
+            # c[n] is never updated, so b[n] keeps the coefficient's own parts.
+            b = [ComplexScalar(v.real, v.imag) for v in c[:n]]
+            b.append(self.coeffs[n])
+            exact = False
+        else:
+            b = list(self.coeffs)
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    b[j] = b[j] + z0 * b[j + 1]
+            exact = self.is_exact() and z0.is_exact()
 
-        if self.is_exact() and z0.is_exact():
+        if exact:
             order = next(j for j in range(1, n + 1) if not b[j].is_zero)
         else:
-            biggest = max(c.one_norm() for c in b)
-            threshold = REL_ZERO_EPS * biggest
-            order = next(
-                (j for j in range(1, n + 1) if b[j].one_norm() > threshold),
-                None,
-            )
+            norms = [v.one_norm() for v in b]
+            threshold = REL_ZERO_EPS * max(norms)
+            order = next((j for j in range(1, n + 1) if norms[j] > threshold), None)
             if order is None:
                 # Badly scaled input: fall back to the literal reading.
                 order = next(j for j in range(1, n + 1) if not b[j].is_zero)
@@ -177,32 +255,43 @@ class Polynomial:
         where norm_j = one_norm(a_j).  Once g(R) > f(0) the same holds for
         every t >= R, because the subtracted terms all carry powers below
         t^(2n): g(t) >= (t/R)^(2n) * g(R).  The search doubles R from 1 and
-        returns the first radius whose excess is strict.  Arithmetic is done
-        in exact rationals even for float inputs, so overflow cannot spoil
-        the comparison.
+        returns the first radius whose excess is strict.
+
+        Arithmetic is done in exact integers even for float inputs, so
+        overflow cannot spoil the comparison.  The norms are scaled to
+        integers N_j by their common denominator, R = 2^m makes every power
+        of R a shift, and with S = sum_j N_j R^j the pair sum is
+
+            sum over j < k of 2 N_j N_k R^(j+k) = S^2 - sum_j N_j^2 R^(2j),
+
+        so each doubling costs O(n) integer operations.  The result equals
+        the first R with ``growth_bound_at(R) > f(0)``.
         """
         n = self.degree
         if n < 1:
             raise ValueError("growth_radius requires degree >= 1")
-        norms = [_exact(c.one_norm()) for c in self.coeffs]
-        a0 = self.coeffs[0]
-        f0 = _exact(a0.re) * _exact(a0.re) + _exact(a0.im) * _exact(a0.im)
-        lead_sq = norms[n] * norms[n]
-        pairs = [
-            (j + k, 2 * norms[j] * norms[k])
-            for j in range(n + 1)
-            for k in range(j + 1, n + 1)
-            if norms[j] != 0 and norms[k] != 0
-        ]
-        radius = 1
+        ratios = [c.one_norm().as_integer_ratio() for c in self.coeffs]
+        denom = math.lcm(*(d for _, d in ratios))
+        norms = [num * (denom // d) for num, d in ratios]
+        squares = [v * v for v in norms]
+        # f(0) = f0_num / f0_den, from the exact parts of a0.
+        re_num, re_den = self.coeffs[0].re.as_integer_ratio()
+        im_num, im_den = self.coeffs[0].im.as_integer_ratio()
+        f0_num = (re_num * im_den) ** 2 + (im_num * re_den) ** 2
+        f0_den = (re_den * im_den) ** 2
+        # g(R) > f(0), multiplied through by f0_den * denom^2 * 2^(2n+1):
+        # f0_den * (N_n^2 R^(2n) - 2^(2n+1) (S^2 - Q)) > f0_num * denom^2 * 2^(2n+1).
+        target = (f0_num * denom * denom) << (2 * n + 1)
+        m = 0
         while True:
-            t = Fraction(radius)
-            bound = lead_sq * t ** (2 * n) / 2 ** (2 * n + 1)
-            for power, weight in pairs:
-                bound -= weight * t**power
-            if bound > f0:
-                return radius
-            radius *= 2
+            s = q = 0
+            for v, sq in zip(reversed(norms), reversed(squares)):
+                s = (s << m) + v
+                q = (q << (2 * m)) + sq
+            excess = (squares[n] << (2 * n * m)) - ((s * s - q) << (2 * n + 1))
+            if f0_den * excess > target:
+                return 1 << m
+            m += 1
 
     def growth_bound_at(self, t):
         """The lower-bound expression from ``growth_radius`` at one_norm = t,

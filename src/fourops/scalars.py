@@ -15,14 +15,22 @@ and is invariant under conjugation.  Those three facts are what the
 solver and the verification harnesses rely on, and ``check_norm_product``
 packages the two product inequalities as a checkable verdict.
 
-Two scalar backends share one code path.  Exact values carry ``int`` or
+Two scalar backends share one algorithm.  Exact values carry ``int`` or
 ``fractions.Fraction`` components (Fraction keeps lowest terms and a
 positive denominator on its own).  Float values carry ordinary binary
-``float`` components.  Division always uses the one fixed formula
+``float`` components.  ``ComplexScalar`` divides by the one fixed formula
 
     z / w = z * conj(w) / (Re(w)^2 + Im(w)^2)
 
-so results are bit-for-bit reproducible in the float backend.
+so its results are bit-for-bit reproducible in the float backend.
+
+The float backend's hot kernels (Horner evaluation, the objective and the
+Taylor shift in ``poly``) run on builtin ``complex`` instead, using + and
+x only.  CPython evaluates those with the same IEEE expressions as
+``ComplexScalar.__add__`` and ``__mul__``, so the kernels give the same
+bits as this class.  They never divide complex values (CPython's complex
+division is Smith's method, which rounds differently from the formula
+above) and never take ``abs()`` of one, which is a square root.
 """
 
 from __future__ import annotations
@@ -57,10 +65,12 @@ def _is_exact(value: Scalar) -> bool:
 class ComplexScalar:
     """An immutable complex number with explicit real and imaginary parts.
 
-    The builtin ``complex`` is avoided on purpose: it is float-only and its
-    ``abs`` takes a square root.  Components may be ``int``/``Fraction``
-    (exact backend) or ``float``; mixing a float into an exact value
-    demotes results to float, as ordinary Python arithmetic would.
+    This is the type of every value the API takes and returns.  The builtin
+    ``complex`` is float-only and its ``abs`` takes a square root, so it
+    appears only inside the float kernels of ``poly`` (see the module
+    docstring).  Components may be ``int``/``Fraction`` (exact backend) or
+    ``float``; mixing a float into an exact value demotes results to float,
+    as ordinary Python arithmetic would.
     """
 
     re: Scalar

@@ -32,6 +32,11 @@ saying "the residual is tiny next to the coefficients".
 The same loop runs over exact rationals, where it certifies rather than
 approximates; rational step arithmetic squares coefficient sizes every
 iteration, so exact mode is gated to low degree and few iterations.
+In the float backend the objective evaluations and Taylor shifts run on
+the builtin ``complex`` kernels of ``poly`` (+ and x only, bit-identical
+to the ``ComplexScalar`` arithmetic), and a line-search trial point is
+built from its parts, so both backends take the same iterates as the
+plain ``ComplexScalar`` formulas.
 
 ``find_all_roots`` peels roots off by synthetic deflation, re-polishing
 every root against the original polynomial, and ``positive_nth_root``
@@ -44,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .estermann import DirectionCandidate, pick_descent_direction
-from .poly import Polynomial, ShiftDecomposition
+from .poly import NonFiniteObjectiveError, Polynomial, ShiftDecomposition
 from .scalars import ComplexScalar, Scalar, ZERO
 
 __all__ = [
@@ -129,9 +134,16 @@ class ConvergenceError(RuntimeError):
 
 
 class SolveError(RuntimeError):
-    """A multi-root solve failed part way; carries the partial result."""
+    """A multi-root solve failed part way; carries the partial result and
+    the cause: a ConvergenceError, or a NonFiniteObjectiveError when the
+    float objective left the float range."""
 
-    def __init__(self, message: str, partial: RootResult, cause: ConvergenceError):
+    def __init__(
+        self,
+        message: str,
+        partial: RootResult,
+        cause: ConvergenceError | NonFiniteObjectiveError,
+    ):
         super().__init__(message)
         self.partial = partial
         self.cause = cause
@@ -254,10 +266,12 @@ def descend_to_root(
             descent_rate = -(alpha.re * zk.re - alpha.im * zk.im)  # |Re[alpha zeta^k]|
             m_bound = certified_decrease_bound(shift, direction)
 
+            zeta = direction.zeta
             r = step_init
             backtracks = 0
             while backtracks <= max_backtracks:
-                trial = z + direction.zeta * r
+                # z + zeta * r, built from its parts in one allocation.
+                trial = ComplexScalar(z.re + zeta.re * r, z.im + zeta.im * r)
                 f_trial = poly.objective(trial)
                 # Sufficient decrease, written multiplicatively so exact integer
                 # coefficients stay exact.  The strict part guards against zero
@@ -371,6 +385,7 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
     """
     if poly.degree < 1:
         raise ValueError("degree must be >= 1")
+    poly.require_finite()
     exact = poly.is_exact()
     if exact and poly.degree > EXACT_MAX_DEGREE:
         raise ValueError(
@@ -388,9 +403,13 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
     work = Polynomial(poly.coeffs[zero_order:])
 
     while work.degree >= 1:
-        start = _best_start(work)
         try:
+            start = _best_start(work)
             root, trace = descend_to_root(work, start, config)
+            iterations += len(trace.steps)
+            if config.keep_traces:
+                traces.append(trace)
+            root, polish_trace = _polish(poly, root, config)
         except ConvergenceError as err:
             iterations += len(err.trace.steps)
             partial = _package(poly, roots, traces + [err.trace], iterations, config)
@@ -399,11 +418,13 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
                 partial,
                 err,
             ) from err
-        iterations += len(trace.steps)
-        if config.keep_traces:
-            traces.append(trace)
-
-        root, polish_trace = _polish(poly, root, config)
+        except NonFiniteObjectiveError as err:
+            partial = _package(poly, roots, traces, iterations, config)
+            raise SolveError(
+                f"stopped after {len(roots)} of {poly.degree} roots: {err}",
+                partial,
+                err,
+            ) from err
         iterations += len(polish_trace.steps)
         if config.keep_traces and polish_trace.steps:
             traces.append(polish_trace)
@@ -444,8 +465,8 @@ def positive_nth_root(c: float, n: int, config: SolverConfig = DEFAULT_CONFIG) -
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     c = float(c)
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    if not 0 < c < float("inf"):
+        raise ValueError(f"c must be positive and finite, got {c!r}")
 
     coeffs = [ComplexScalar(-c, 0.0)]
     coeffs.extend(ComplexScalar(0.0, 0.0) for _ in range(n - 1))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fourops
 from fourops.cli import TRACE_FIELDS, main
 from fourops.solver import positive_nth_root
 
@@ -101,6 +106,50 @@ def test_solve_rejects_bad_inputs(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("coeffs", ["nan,1", "inf,1", "1,-inf", "1,2+nani"])
+def test_solve_rejects_non_finite_inline_coefficients(capsys, coeffs):
+    assert main(["solve", f"--coeffs={coeffs}"]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_solve_rejects_non_finite_json_coefficients(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"coeffs": [[{text}, 0.0], [1.0, 0.0]]}}')
+    assert main(["solve", "--input", str(path)]) == 2
+    assert "coefficient 0" in capsys.readouterr().err
+
+
+def test_solve_rejects_rational_beyond_float_range(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"coeffs": [[f"{10**400}/1", "0/1"], ["1/1", "0/1"]]}))
+    assert main(["solve", "--input", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_solve_objective_overflow_exits_3_under_optimize():
+    # The objective check must not be an assert: -O would strip it and the
+    # solve would print a bogus root with exit 0.
+    env = dict(os.environ, PYTHONPATH=str(Path(fourops.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "fourops.cli", "solve", "--coeffs=1e300,1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 3
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.splitlines()[-1] == "iterations: 0"
+
+
+def test_trace_objective_overflow_exits_3(capsys, tmp_path):
+    path = tmp_path / "steps.csv"
+    assert main(["trace", "--coeffs=1e300,1", "--csv", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_nonconvergence_exit_code(capsys):
     assert main(["solve", "--coeffs", "2,0,1", "--max-outer", "1"]) == 3
     captured = capsys.readouterr()
@@ -170,6 +219,8 @@ def test_nth_root_rejects_bad_input(capsys):
     assert main(["nth-root", "-3", "2"]) == 2
     capsys.readouterr()
     assert main(["nth-root", "2", "1"]) == 2
+    capsys.readouterr()
+    assert main(["nth-root", "inf", "2"]) == 2
     capsys.readouterr()
 
 

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from fourops.poly import Polynomial, REL_ZERO_EPS
-from fourops.sampling import SplitMix64, random_exact_complex
+from fourops.poly import NonFiniteObjectiveError, Polynomial, REL_ZERO_EPS
+from fourops.sampling import SplitMix64, random_exact_complex, random_float_complex
 from fourops.scalars import ComplexScalar, I, ONE, ZERO
 
 
@@ -16,6 +16,12 @@ def exact_poly(rng, max_degree):
     coeffs = [random_exact_complex(rng) for _ in range(degree)]
     coeffs.append(ComplexScalar(1 + int(rng.next_u64() % 5), 0))
     return Polynomial.from_scalars(coeffs)
+
+
+def float_roots_poly(rng, degree):
+    """Monic from_roots polynomial: float coefficients, int leading parts."""
+    roots = [random_float_complex(rng, 2.0) for _ in range(degree)]
+    return Polynomial.from_roots(roots), roots
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +92,105 @@ def test_objective_examples():
     rng = SplitMix64(22)
     for _ in range(200):
         assert exact_poly(rng, 6).objective(random_exact_complex(rng)) >= 0
+
+
+def test_objective_raises_outside_float_range():
+    # P(z) = 1e300 + z at z = 1e200 (1 + i): Re P * Im P overflows, so the
+    # imaginary part of P * conj(P) is NaN instead of 0.
+    p = Polynomial.from_scalars([1e300, 1.0])
+    with pytest.raises(NonFiniteObjectiveError):
+        p.objective(C(1e200, 1e200))
+    assert issubclass(NonFiniteObjectiveError, ArithmeticError)
+    # A square modulus that overflows on its own is still real: f = inf.
+    assert p.objective(C(0.0, 0.0)) == float("inf")
+
+
+# ---------------------------------------------------------------------------
+# float kernels against the ComplexScalar loops
+# ---------------------------------------------------------------------------
+
+
+def reference_evaluate(p, z):
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def reference_objective(p, z):
+    """(Re, Im) of P(z) * conj(P(z)) on ComplexScalar."""
+    w = reference_evaluate(p, z)
+    prod = w * w.conj()
+    return prod.re, prod.im
+
+
+def reference_shift(p, z0):
+    """(base, order, quotient coefficients) by the float-backend rule."""
+    n = p.degree
+    b = list(p.coeffs)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            b[j] = b[j] + z0 * b[j + 1]
+    threshold = REL_ZERO_EPS * max(c.one_norm() for c in b)
+    order = next((j for j in range(1, n + 1) if b[j].one_norm() > threshold), None)
+    if order is None:
+        order = next(j for j in range(1, n + 1) if not b[j].is_zero)
+    return b[0], order, tuple(b[order:])
+
+
+def bits(z):
+    """The parts by repr: equal only for the same type and the same float
+    bits, signed zeros included."""
+    return repr(z.re), repr(z.im)
+
+
+def kernel_cases():
+    """Seeded float from_roots polynomials of degree 1-32 and exact ones,
+    each with random points, points next to its roots and far points."""
+    rng = SplitMix64(27)
+    for degree in range(1, 33):
+        for _ in range(2):
+            p, roots = float_roots_poly(rng, degree)
+            points = [random_float_complex(rng, 2.0) for _ in range(4)]
+            points += [random_float_complex(rng, 40.0), random_float_complex(rng, 1e12)]
+            for root in roots[:3]:
+                points.append(root)
+                points.append(root + random_float_complex(rng, 1e-9))
+            yield p, points
+    for _ in range(40):
+        # Fraction coefficients at float points: mixed arithmetic rounds the
+        # exact parts to float exactly as the kernels' conversion does.
+        yield exact_poly(rng, 8), [random_float_complex(rng, 2.0) for _ in range(3)]
+
+
+def test_float_kernels_match_complexscalar_reference_bit_for_bit():
+    far_points = 0
+    for p, points in kernel_cases():
+        for z in points:
+            assert bits(p.evaluate(z)) == bits(reference_evaluate(p, z))
+            re, im = reference_objective(p, z)
+            if im == 0:
+                assert repr(p.objective(z)) == repr(re)
+            else:
+                far_points += 1
+                with pytest.raises(NonFiniteObjectiveError):
+                    p.objective(z)
+            base, order, quotient = reference_shift(p, z)
+            shift = p.taylor_shift(z)
+            assert bits(shift.base_value) == bits(base)
+            assert shift.order == order
+            assert [bits(c) for c in shift.quotient.coeffs] == [bits(c) for c in quotient]
+    assert far_points > 0  # the overflow trigger is covered as well
+
+
+def test_float_kernels_keep_degree_zero_and_exact_points():
+    # Degree 0 returns the coefficient itself; exact points stay exact.
+    const = Polynomial.from_scalars([3])
+    assert bits(const.evaluate(C(0.5, 0.25))) == bits(C(3))
+    assert repr(const.objective(C(0.5, 0.25))) == "9"
+    p = Polynomial.from_scalars([1, 0, 1])
+    assert bits(p.evaluate(C(2, 0))) == bits(C(5, 0))
+    assert bits(p.evaluate(C(2.0, 0.0))) == bits(C(5.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +264,23 @@ def test_growth_radius_example():
 
 
 def test_growth_radius_doubling_property():
+    # growth_radius (integers) is the first power of two at which the
+    # Fraction bound growth_bound_at exceeds the exact f(0), for exact
+    # inputs and for float from_roots inputs of degree 1-32.
     rng = SplitMix64(24)
-    for _ in range(50):
-        p = exact_poly(rng, 5)
+    exact = [exact_poly(rng, 5) for _ in range(50)]
+    floats = [float_roots_poly(rng, degree)[0] for degree in range(1, 33) for _ in range(2)]
+    radii = []
+    for p in exact + floats:
         radius = p.growth_radius()
-        f0 = p.objective(ZERO)
+        a0 = p.coeffs[0]
+        f0 = Fraction(a0.re) ** 2 + Fraction(a0.im) ** 2
+        assert radius & (radius - 1) == 0
         assert p.growth_bound_at(radius) > f0
         if radius > 1:
             assert p.growth_bound_at(radius // 2) <= f0
+        radii.append(radius)
+    assert max(radii[len(exact):]) >= 2**30
 
 
 def test_growth_bound_is_objective_lower_bound():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fourops.estermann import candidate_set, pick_descent_direction
-from fourops.poly import Polynomial
+from fourops.poly import NonFiniteObjectiveError, Polynomial
 from fourops.sampling import SplitMix64, random_box_float
 from fourops.scalars import ComplexScalar, ZERO
 from fourops.solver import (
@@ -220,6 +220,21 @@ def test_solve_error_carries_partial():
     assert any(not t.converged for t in err.partial.traces)
 
 
+def test_objective_out_of_float_range_is_a_solve_error():
+    with pytest.raises(SolveError) as info:
+        find_all_roots(P(1e300, 1.0))
+    err = info.value
+    assert isinstance(err.cause, NonFiniteObjectiveError)
+    assert err.partial.roots == ()
+    assert err.partial.iterations == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_find_all_roots_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="coefficient 1 "):
+        find_all_roots(P(1.0, C(0.5, bad), 1.0))
+
+
 def test_vieta_on_random_monic_polynomials():
     rng = SplitMix64(41)
     config = SolverConfig(residual_tol=1e-11)
@@ -277,6 +292,8 @@ def test_nth_root_rejects_bad_input():
         positive_nth_root(0.0, 2)
     with pytest.raises(ValueError):
         positive_nth_root(-3.0, 2)
+    with pytest.raises(ValueError):
+        positive_nth_root(float("inf"), 2)
     with pytest.raises(ValueError):
         positive_nth_root(2.0, 1)
     with pytest.raises(ValueError):
