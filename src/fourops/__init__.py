@@ -5,8 +5,9 @@ taxicab norms, descent directions for even-order stationary structure
 come from exact powers of (1 + i/k)^2, and every analytic ingredient
 (norm inequalities, direction signs, step certificates) can be checked
 in exact rational arithmetic.  The float backend shares the same
-algorithm and is what the practical solver runs on; its hot kernels use
-builtin ``complex`` (+ and x only) with the same bits as ``ComplexScalar``.
+algorithm and is what the practical solver runs on; its descent round and
+start scan run on builtin ``complex`` (+ and x only) with the same bits as
+``ComplexScalar``.
 """
 
 from .scalars import (

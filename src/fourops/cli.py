@@ -11,10 +11,12 @@ Subcommands:
 * ``trace``: run one descent and export the per-step CSV record.
 
 Exit codes: 0 success, 2 usage error (including coefficients that are
-infinite, NaN or outside the float range), 3 the solve stopped early,
-by non-convergence or by an objective outside the float range (with a
-partial report on stdout).  Output for a fixed invocation and seed is
-byte-for-byte deterministic.
+infinite, NaN or outside the float range, solver settings that
+``SolverConfig`` rejects, such as ``--tol 0``, ``--tol inf`` or
+``--max-outer 0``, and a ``--csv`` path that cannot be written), 3 the
+solve stopped early, by non-convergence or by an objective outside the
+float range (with a partial report on stdout).  Output for a fixed
+invocation and seed is byte-for-byte deterministic.
 """
 
 from __future__ import annotations
@@ -123,12 +125,17 @@ def load_polynomial(args) -> Polynomial:
 
 
 def _config(args) -> SolverConfig:
-    base = SolverConfig()
-    return SolverConfig(
-        residual_tol=getattr(args, "tol", None) or base.residual_tol,
-        max_outer=getattr(args, "max_outer", None) or base.max_outer,
-        max_backtracks=getattr(args, "max_backtracks", None) or base.max_backtracks,
-    )
+    """The solver settings; a flag left out keeps its default, and a value
+    that ``SolverConfig`` rejects is a usage error."""
+    flags = {
+        "residual_tol": getattr(args, "tol", None),
+        "max_outer": getattr(args, "max_outer", None),
+        "max_backtracks": getattr(args, "max_backtracks", None),
+    }
+    try:
+        return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +160,10 @@ def _print_result(result, as_json: bool) -> None:
 
 
 def cmd_solve(args) -> int:
+    config = _config(args)
     poly = load_polynomial(args)
     try:
-        result = find_all_roots(poly, _config(args))
+        result = find_all_roots(poly, config)
     except SolveError as err:
         _print_result(err.partial, args.json)
         print(f"error: {err}", file=sys.stderr)
@@ -214,8 +222,9 @@ def cmd_nth_root(args) -> int:
         raise UsageError("n must be >= 2")
     if not 0 < args.c < float("inf"):
         raise UsageError("c must be positive and finite")
+    config = _config(args)
     try:
-        value = positive_nth_root(args.c, args.n, _config(args))
+        value = positive_nth_root(args.c, args.n, config)
     except (ConvergenceError, SolveError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
@@ -224,10 +233,11 @@ def cmd_nth_root(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    config = _config(args)
     poly = load_polynomial(args)
     code = 0
     try:
-        _, trace = descend_to_root(poly, _best_start(poly), _config(args))
+        _, trace = descend_to_root(poly, _best_start(poly), config)
     except ConvergenceError as err:
         trace = err.trace
         print(f"error: {err}", file=sys.stderr)
@@ -235,7 +245,11 @@ def cmd_trace(args) -> int:
     except NonFiniteObjectiveError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(args.csv, "w", encoding="utf-8", newline="")
+    except OSError as err:
+        raise UsageError(f"cannot write {args.csv}: {err}") from None
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
         for idx, step in enumerate(trace.steps):

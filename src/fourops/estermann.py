@@ -238,8 +238,48 @@ def candidate_set(k: int) -> tuple[DirectionCandidate, ...]:
 
 
 @lru_cache(maxsize=None)
-def _float_candidate_set(k: int) -> tuple[DirectionCandidate, ...]:
-    return tuple(c.to_float() for c in candidate_set(k))
+def _scored_candidates(k: int, float_mode: bool, native: type) -> tuple:
+    """(candidate, zeta, zeta^k, one_norm(zeta^k)) for each candidate of
+    order k, with float parts in float mode, and zeta and zeta^k in the
+    value type ``native`` (builtin complex or ComplexScalar)."""
+    candidates = candidate_set(k)
+    if float_mode:
+        candidates = tuple(c.to_float() for c in candidates)
+    return tuple(
+        (
+            c,
+            native(c.zeta.re, c.zeta.im),
+            native(c.zeta_pow_k.re, c.zeta_pow_k.im),
+            c.zeta_pow_k.one_norm(),
+        )
+        for c in candidates
+    )
+
+
+def steepest_candidate(alpha, k: int):
+    """``pick_descent_direction`` for alpha of either value type, builtin
+    complex or ComplexScalar.  Returns (candidate, zeta in alpha's type,
+    Re[alpha * zeta^k]).  Float mode, with the candidates rounded to float,
+    is chosen by alpha's parts."""
+    re, im = alpha.real, alpha.imag
+    if re == 0 and im == 0:
+        raise ValueError("alpha must be nonzero (the point is already a root)")
+    float_mode = isinstance(re, float) or isinstance(im, float)
+    alpha_norm = abs(re) + abs(im)
+    best = None
+    best_ratio = None
+    best_num = None
+    for candidate, zeta, zk, zk_norm in _scored_candidates(k, float_mode, type(alpha)):
+        num = re * zk.real - im * zk.imag  # Re[alpha * zeta^k]
+        ratio = num / (alpha_norm * zk_norm)
+        if best_ratio is None or ratio < best_ratio:
+            best, best_ratio, best_num = (candidate, zeta), ratio, num
+    if best_num >= 0:
+        raise ArithmeticError(
+            f"no descent direction for alpha={ComplexScalar(re, im)!r}, k={k}; "
+            "candidate set is incomplete"
+        )
+    return best[0], best[1], best_num
 
 
 def pick_descent_direction(alpha: ComplexScalar, k: int) -> DirectionCandidate:
@@ -248,24 +288,7 @@ def pick_descent_direction(alpha: ComplexScalar, k: int) -> DirectionCandidate:
 
     Normalizing by the candidate's own one_norm(zeta^k) keeps the unit
     directions and the longer quadrant directions comparable.  Ties keep
-    the earliest candidate in enumeration order.
+    the earliest candidate in enumeration order.  A float alpha picks
+    among the candidates rounded to float.
     """
-    if alpha.is_zero:
-        raise ValueError("alpha must be nonzero (the point is already a root)")
-    float_mode = isinstance(alpha.re, float) or isinstance(alpha.im, float)
-    candidates = _float_candidate_set(k) if float_mode else candidate_set(k)
-    alpha_norm = alpha.one_norm()
-    best = None
-    best_ratio = None
-    best_num = None
-    for cand in candidates:
-        zk = cand.zeta_pow_k
-        num = alpha.re * zk.re - alpha.im * zk.im  # Re[alpha * zeta^k]
-        ratio = num / (alpha_norm * zk.one_norm())
-        if best_ratio is None or ratio < best_ratio:
-            best, best_ratio, best_num = cand, ratio, num
-    if best_num >= 0:
-        raise ArithmeticError(
-            f"no descent direction for alpha={alpha!r}, k={k}; candidate set is incomplete"
-        )
-    return best
+    return steepest_candidate(alpha, k)[0]

@@ -7,17 +7,19 @@ Coefficients are stored in ascending order (constant term first).  The
 degree-n coefficient is nonzero after construction; literal zero
 coefficients at the high end are trimmed.
 
-Float kernels.  When both parts of the point are ``float``, ``evaluate``,
-``objective`` and ``taylor_shift`` run their loops on builtin ``complex``
-values (a copy of the coefficients cached on the polynomial) and convert
-back to ``ComplexScalar`` only for what they return.  The loops use
-``complex`` + and x only.  CPython computes those with the same IEEE
-expressions as ``ComplexScalar.__add__`` / ``__mul__``, and converting an
-``int`` or ``Fraction`` part to ``float`` rounds exactly as Python's mixed
-arithmetic does, so the results are bit-identical to the ``ComplexScalar``
-loops.  No complex division and no ``abs()`` of a complex value occur, so
-there is no square root and no Smith division.  Exact points keep the
-``ComplexScalar`` loops.
+Kernels.  Horner evaluation, the objective and the Taylor shift are
+module functions over one value type (``Polynomial.native`` picks it):
+builtin ``complex`` (a copy of the coefficients cached on the polynomial)
+when both parts of the point are ``float``, ``ComplexScalar`` otherwise.
+They use + and x only, and read values through ``real``, ``imag`` and
+``conjugate()``, which both types have.  CPython computes complex + and x
+with the same IEEE expressions as ``ComplexScalar.__add__`` / ``__mul__``,
+and converting an ``int`` or ``Fraction`` part to ``float`` rounds exactly
+as Python's mixed arithmetic does, so both types give the same bits.  No
+complex division and no ``abs()`` of a complex value occur, so there is no
+square root and no Smith division.  The methods convert back to
+``ComplexScalar`` only for what they return; the solver's descent round
+calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class ShiftDecomposition:
 @dataclass(frozen=True, slots=True)
 class Polynomial:
     coeffs: tuple[ComplexScalar, ...]
-    # The coefficients as builtin complex values, built by the first float
-    # kernel call.
+    # The coefficients as builtin complex values, built by the first
+    # ``native`` call at a float point.
     _complex: tuple[complex, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -145,56 +147,30 @@ class Polynomial:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _complex_horner(self, z: ComplexScalar) -> complex | None:
-        """P(z) by the float kernel, or None unless both parts of z are
-        ``float`` and the degree is at least 1 (degree 0 returns the
-        coefficient itself, parts and all)."""
-        if not (isinstance(z.re, float) and isinstance(z.im, float)):
-            return None
-        coeffs = self._complex or self._complex_coeffs()
-        if len(coeffs) == 1:
-            return None
-        zc = complex(z.re, z.im)
-        acc = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            acc = acc * zc + c
-        return acc
-
-    def _complex_coeffs(self) -> tuple[complex, ...]:
-        coeffs = tuple(complex(c.re, c.im) for c in self.coeffs)
-        object.__setattr__(self, "_complex", coeffs)
-        return coeffs
+    def native(self, z: ComplexScalar) -> tuple[tuple, complex | ComplexScalar]:
+        """The coefficients and z in the kernels' value type: builtin
+        ``complex`` when both parts of z are ``float`` and the degree is at
+        least 1, else the ``ComplexScalar`` values themselves (so exact
+        points stay exact and degree 0 keeps its coefficient's parts)."""
+        if len(self.coeffs) > 1 and isinstance(z.re, float) and isinstance(z.im, float):
+            coeffs = self._complex
+            if coeffs is None:
+                coeffs = tuple(complex(c.re, c.im) for c in self.coeffs)
+                object.__setattr__(self, "_complex", coeffs)
+            return coeffs, complex(z.re, z.im)
+        return self.coeffs, z
 
     def evaluate(self, z: ComplexScalar) -> ComplexScalar:
         """Horner evaluation from the leading coefficient down."""
-        w = self._complex_horner(z)
-        if w is not None:
-            return ComplexScalar(w.real, w.imag)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
+        coeffs, w = self.native(z)
+        value = horner(coeffs, w)
+        return ComplexScalar(value.real, value.imag)
 
     def objective(self, z: ComplexScalar):
-        """f(z) = P(z) * conj(P(z)), a real nonnegative scalar.
-
-        The product's imaginary part cancels identically for finite P(z)
-        (also in floats, where both contributions round the same way).
-        When it does not, P(z) or Re P(z) * Im P(z) left the float range,
-        and NonFiniteObjectiveError is raised rather than the part dropped.
-        """
-        w = self._complex_horner(z)
-        if w is not None:
-            x, y = w.real, w.imag
-            # The parts of ComplexScalar(x, y) * ComplexScalar(x, -y).
-            re, im = x * x - y * -y, x * -y + y * x
-        else:
-            w = self.evaluate(z)
-            prod = w * w.conj()
-            re, im = prod.re, prod.im
-        if im != 0:
-            raise NonFiniteObjectiveError(f"objective at {z!r} is not a finite real number")
-        return re
+        """f(z) = P(z) * conj(P(z)), a real nonnegative scalar (see
+        ``square_modulus``)."""
+        coeffs, w = self.native(z)
+        return square_modulus(coeffs, w)
 
     # -- Taylor shift -------------------------------------------------------------
 
@@ -211,35 +187,13 @@ class Polynomial:
         n = self.degree
         if n < 1:
             raise ValueError("taylor_shift requires degree >= 1")
-        if isinstance(z0.re, float) and isinstance(z0.im, float):
-            zc = complex(z0.re, z0.im)
-            c = list(self._complex or self._complex_coeffs())
-            for i in range(n):
-                acc = c[n]
-                for j in range(n - 1, i - 1, -1):
-                    acc = c[j] + zc * acc
-                    c[j] = acc
-            # c[n] is never updated, so b[n] keeps the coefficient's own parts.
-            b = [ComplexScalar(v.real, v.imag) for v in c[:n]]
-            b.append(self.coeffs[n])
-            exact = False
-        else:
-            b = list(self.coeffs)
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    b[j] = b[j] + z0 * b[j + 1]
-            exact = self.is_exact() and z0.is_exact()
-
-        if exact:
-            order = next(j for j in range(1, n + 1) if not b[j].is_zero)
-        else:
-            norms = [v.one_norm() for v in b]
-            threshold = REL_ZERO_EPS * max(norms)
-            order = next((j for j in range(1, n + 1) if norms[j] > threshold), None)
-            if order is None:
-                # Badly scaled input: fall back to the literal reading.
-                order = next(j for j in range(1, n + 1) if not b[j].is_zero)
-        return ShiftDecomposition(b[0], order, Polynomial(tuple(b[order:])))
+        coeffs, w = self.native(z0)
+        b = shifted(coeffs, w)
+        norms = shift_norms(b, self.coeffs[n].one_norm())
+        order = shift_order(norms, self.is_exact() and z0.is_exact())
+        values = [ComplexScalar(v.real, v.imag) for v in b[:n]]
+        values.append(self.coeffs[n])
+        return ShiftDecomposition(values[0], order, Polynomial(tuple(values[order:])))
 
     # -- certified outer radius -----------------------------------------------
 
@@ -341,3 +295,71 @@ class Polynomial:
 def _exact(value) -> Fraction:
     """Floats are binary rationals, so this conversion is lossless."""
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+# ---------------------------------------------------------------------------
+# Kernels.  Each takes ascending coefficients and a point of one value type,
+# builtin complex or ComplexScalar (``Polynomial.native`` picks it), and uses
+# + and x only.
+# ---------------------------------------------------------------------------
+
+
+def horner(coeffs, z):
+    """P(z), from the leading coefficient down."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def square_modulus(coeffs, z):
+    """f(z) = P(z) * conj(P(z)) from the parts x, y of P(z).
+
+    The product's imaginary part x*(-y) + y*x cancels identically for
+    finite P(z) (also in floats, where both contributions round the same
+    way).  When it does not, P(z) or x*y left the float range, and
+    NonFiniteObjectiveError is raised rather than the part dropped.
+    """
+    w = horner(coeffs, z)
+    x, y = w.real, w.imag
+    if x * -y + y * x != 0:
+        point = ComplexScalar(z.real, z.imag)
+        raise NonFiniteObjectiveError(f"objective at {point!r} is not a finite real number")
+    return x * x - y * -y
+
+
+def shifted(coeffs, z) -> list:
+    """The coefficients b of P(z + h) = sum_j b_j h^j, by n rounds of
+    synthetic division.  b[n] is never updated: it is coeffs[n] itself."""
+    b = list(coeffs)
+    n = len(b) - 1
+    for i in range(n):
+        acc = b[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = b[j] + z * acc
+            b[j] = acc
+    return b
+
+
+def shift_norms(b, lead_norm) -> list:
+    """one_norm of each shifted coefficient.  The leading one is passed in,
+    so it is read from the polynomial's own coefficient, whose parts may be
+    int or Fraction (as in a monic ``from_roots`` polynomial), whatever
+    type the kernel ran on."""
+    norms = [abs(v.real) + abs(v.imag) for v in b[:-1]]
+    norms.append(lead_norm)
+    return norms
+
+
+def shift_order(norms, exact: bool) -> int:
+    """The order k of a shift from its coefficient norms, by the rule of
+    ``Polynomial.taylor_shift``.  A norm is 0 exactly when the coefficient
+    is."""
+    n = len(norms) - 1
+    if not exact:
+        threshold = REL_ZERO_EPS * max(norms)
+        for j in range(1, n + 1):
+            if norms[j] > threshold:
+                return j
+        # Badly scaled input: fall back to the literal reading.
+    return next(j for j in range(1, n + 1) if norms[j] != 0)

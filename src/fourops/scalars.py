@@ -24,13 +24,15 @@ positive denominator on its own).  Float values carry ordinary binary
 
 so its results are bit-for-bit reproducible in the float backend.
 
-The float backend's hot kernels (Horner evaluation, the objective and the
-Taylor shift in ``poly``) run on builtin ``complex`` instead, using + and
-x only.  CPython evaluates those with the same IEEE expressions as
-``ComplexScalar.__add__`` and ``__mul__``, so the kernels give the same
-bits as this class.  They never divide complex values (CPython's complex
-division is Smith's method, which rounds differently from the formula
-above) and never take ``abs()`` of one, which is a square root.
+``ComplexScalar`` also answers to the spellings of builtin ``complex``
+(``real``, ``imag``, ``conjugate()``), so the kernels in ``poly`` and the
+solver's descent round are written once and run on either type: on
+builtin ``complex`` for float points, using + and x only.  CPython
+evaluates those with the same IEEE expressions as ``ComplexScalar.__add__``
+and ``__mul__``, so both types give the same bits.  The kernels never
+divide complex values (CPython's complex division is Smith's method,
+which rounds differently from the formula above) and never take ``abs()``
+of one, which is a square root.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class ComplexScalar:
 
     This is the type of every value the API takes and returns.  The builtin
     ``complex`` is float-only and its ``abs`` takes a square root, so it
-    appears only inside the float kernels of ``poly`` (see the module
+    appears only inside the kernels and the descent round (see the module
     docstring).  Components may be ``int``/``Fraction`` (exact backend) or
     ``float``; mixing a float into an exact value demotes results to float,
     as ordinary Python arithmetic would.
@@ -85,6 +87,18 @@ class ComplexScalar:
 
     def conj(self) -> "ComplexScalar":
         return ComplexScalar(self.re, -self.im)
+
+    # The spellings of builtin ``complex``, so that the solver's kernels run
+    # unchanged on either type (see the module docstring).
+    conjugate = conj
+
+    @property
+    def real(self) -> Scalar:
+        return self.re
+
+    @property
+    def imag(self) -> Scalar:
+        return self.im
 
     def one_norm(self) -> Scalar:
         """Taxicab magnitude |Re| + |Im|.  Absolute values are sign flips."""

@@ -29,14 +29,25 @@ Descent stops when f(z) <= residual_tol^2 * scale where scale is the
 squared coefficient one-norm of the polynomial, a scale-invariant way of
 saying "the residual is tiny next to the coefficients".
 
-The same loop runs over exact rationals, where it certifies rather than
+The same round runs over exact rationals, where it certifies rather than
 approximates; rational step arithmetic squares coefficient sizes every
 iteration, so exact mode is gated to low degree and few iterations.
-In the float backend the objective evaluations and Taylor shifts run on
-the builtin ``complex`` kernels of ``poly`` (+ and x only, bit-identical
-to the ``ComplexScalar`` arithmetic), and a line-search trial point is
-built from its parts, so both backends take the same iterates as the
-plain ``ComplexScalar`` formulas.
+
+The round is written once, over the value type ``Polynomial.native``
+picks for the point: builtin ``complex`` when both parts of z are float,
+``ComplexScalar`` otherwise (``ComplexScalar`` has the ``real``, ``imag``
+and ``conjugate()`` spellings of ``complex``).  The shift, the order,
+alpha, the direction, the bound M and every line-search trial stay in
+that type, through the kernels of ``poly`` and
+``estermann.steepest_candidate``; only the ``DescentStep`` and the
+accepted point are built as ``ComplexScalar``.  CPython computes complex
++ and x with the same IEEE expressions as ``ComplexScalar``, so both
+types take the same iterates bit for bit.  A trial point is built from
+its parts, z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
+multiplies by x+0j, which changes signed zeros and inf*0.  The public
+``taylor_shift``, ``pick_descent_direction`` and
+``certified_decrease_bound`` wrap the same kernels at the API boundary.
+The start scan (``_best_start``) evaluates its candidates the same way.
 
 ``find_all_roots`` peels roots off by synthetic deflation, re-polishing
 every root against the original polynomial, and ``positive_nth_root``
@@ -45,11 +56,22 @@ reduces real n-th roots to a solve of z^n - c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .estermann import DirectionCandidate, pick_descent_direction
-from .poly import NonFiniteObjectiveError, Polynomial, ShiftDecomposition
+# The round calls steepest_candidate; pick_descent_direction, its form at the
+# API boundary, stays importable from here (the benchmark's tracer wraps it).
+from .estermann import DirectionCandidate, pick_descent_direction, steepest_candidate
+from .poly import (
+    NonFiniteObjectiveError,
+    Polynomial,
+    ShiftDecomposition,
+    shift_norms,
+    shift_order,
+    shifted,
+    square_modulus,
+)
 from .scalars import ComplexScalar, Scalar, ZERO
 
 __all__ = [
@@ -79,12 +101,31 @@ POLISH_MAX_OUTER = 5
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
+    """Descent settings.  Construction raises ValueError unless residual_tol
+    and step_init are finite and > 0, 0 < step_shrink < 1, and max_outer
+    >= 1 and max_backtracks >= 0 are integers."""
+
     residual_tol: float = 1e-9
     step_init: float = 1.0
     step_shrink: float = 0.5
     max_outer: int = 10_000
     max_backtracks: int = 200
     keep_traces: bool = True
+
+    def __post_init__(self):
+        # NaN fails every comparison, so it is rejected too.
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
+        if not 0 < self.step_init < math.inf:
+            raise ValueError(f"step_init must be finite and > 0, got {self.step_init!r}")
+        if not 0 < self.step_shrink < 1:
+            raise ValueError(f"step_shrink must be > 0 and < 1, got {self.step_shrink!r}")
+        if not isinstance(self.max_outer, int) or self.max_outer < 1:
+            raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
+        if not isinstance(self.max_backtracks, int) or self.max_backtracks < 0:
+            raise ValueError(
+                f"max_backtracks must be an integer >= 0, got {self.max_backtracks!r}"
+            )
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -161,9 +202,9 @@ def certified_decrease_bound(shift: ShiftDecomposition, candidate: DirectionCand
         M1 = N(P(z)) * N(zeta)^(k+1) * sum_j N(R_j) N(zeta)^j
         M2 = ( N(zeta)^k * sum_j N(Q_j) N(zeta)^j )^2
 
-    bound the two terms, and the returned value is M = 2*M1 + M2.  Every
-    candidate direction has N(zeta) >= 1, so M dominates the plain
-    max(M1, M2) majorant; the weighting makes the per-step certificate
+    bound the two terms, and the returned value is M = 2*M1 + M2.  Both
+    terms are nonnegative, so M dominates the plain max(M1, M2) majorant;
+    the weighting makes the per-step certificate
 
         -2 Re[alpha zeta^k] <= 3 r M          (accepted r < 1)
 
@@ -172,23 +213,30 @@ def certified_decrease_bound(shift: ShiftDecomposition, candidate: DirectionCand
     (3/2) |Re[alpha zeta^k]| < 2*(2r) M1 + (2r)^k M2 <= 4 r M1 + 2 r M2,
     hence -2 Re[alpha zeta^k] < (16/3) r M1 + (8/3) r M2 <= 3 r (2 M1 + M2).
     """
-    zeta_norm = candidate.zeta.one_norm()
-    k = shift.order
-    q = shift.quotient.coeffs
+    return _decrease_bound(
+        shift.base_value.one_norm(),
+        [c.one_norm() for c in shift.quotient.coeffs],
+        candidate.zeta.one_norm(),
+        shift.order,
+    )
 
+
+def _decrease_bound(base_norm, quotient_norms, zeta_norm, k: int):
+    """M = 2*M1 + M2 of ``certified_decrease_bound`` from the one-norms of
+    P(z), of the quotient coefficients Q_0 .. Q_m and of zeta."""
     weighted_rest = 0
     weight = 1
-    for c in q[1:]:
-        weighted_rest = weighted_rest + c.one_norm() * weight
+    for c in quotient_norms[1:]:
+        weighted_rest = weighted_rest + c * weight
         weight = weight * zeta_norm
     weighted_all = 0
     weight = 1
-    for c in q:
-        weighted_all = weighted_all + c.one_norm() * weight
+    for c in quotient_norms:
+        weighted_all = weighted_all + c * weight
         weight = weight * zeta_norm
 
     zeta_norm_k = zeta_norm**k
-    m1 = shift.base_value.one_norm() * zeta_norm_k * zeta_norm * weighted_rest
+    m1 = base_norm * zeta_norm_k * zeta_norm * weighted_rest
     m2 = (zeta_norm_k * weighted_all) ** 2
     return 2 * m1 + m2
 
@@ -239,6 +287,8 @@ def descend_to_root(
     scale = poly.coeff_one_norm()
     stop = tol * tol * scale * scale
 
+    lead_norm = poly.coeffs[-1].one_norm()
+
     z = z_start
     f_z = poly.objective(z)
     best_z, best_f = z, f_z
@@ -257,109 +307,108 @@ def descend_to_root(
             )
         outer += 1
 
-        shift = poly.taylor_shift(z)
-        accepted = None
-        while True:
-            alpha = shift.base_value.conj() * shift.quotient.coeffs[0]
-            direction = pick_descent_direction(alpha, shift.order)
-            zk = direction.zeta_pow_k
-            descent_rate = -(alpha.re * zk.re - alpha.im * zk.im)  # |Re[alpha zeta^k]|
-            m_bound = certified_decrease_bound(shift, direction)
-
-            zeta = direction.zeta
-            r = step_init
-            backtracks = 0
-            while backtracks <= max_backtracks:
-                # z + zeta * r, built from its parts in one allocation.
-                trial = ComplexScalar(z.re + zeta.re * r, z.im + zeta.im * r)
-                f_trial = poly.objective(trial)
-                # Sufficient decrease, written multiplicatively so exact integer
-                # coefficients stay exact.  The strict part guards against zero
-                # steps once r underflows.
-                if f_trial < f_z and 2 * (f_z - f_trial) >= r**shift.order * descent_rate:
-                    accepted = (trial, f_trial, r, backtracks)
-                    break
-                r = r * shrink
-                backtracks += 1
-            if accepted is not None:
-                break
-            # Exhausted.  In the float backend the order's coefficient is
-            # numerically stranded (see module docstring); retry the round
-            # at the next nonzero order.  Exact mode keeps literal orders.
-            escalated = None if exact else _escalate_order(shift)
-            if escalated is None:
-                trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
-                raise ConvergenceError(
-                    f"line search exhausted {max_backtracks} shrinks at every "
-                    f"usable order (best f = {best_f})",
-                    best_z,
-                    best_f,
-                    trace,
-                )
-            shift = escalated
-
-        steps.append(
-            DescentStep(
-                z=z,
-                f_value=f_z,
-                order=shift.order,
-                alpha=alpha,
-                direction=direction,
-                r_accepted=accepted[2],
-                backtracks=accepted[3],
-                m_bound=m_bound,
-            )
+        accepted = _descent_round(
+            poly, z, f_z, lead_norm, exact, step_init, shrink, max_backtracks
         )
-        z, f_z = accepted[0], accepted[1]
+        if accepted is None:
+            trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
+            raise ConvergenceError(
+                f"line search exhausted {max_backtracks} shrinks at every "
+                f"usable order (best f = {best_f})",
+                best_z,
+                best_f,
+                trace,
+            )
+        step, z, f_z = accepted
+        steps.append(step)
         if f_z < best_f:
             best_z, best_f = z, f_z
 
 
-def _escalate_order(shift: ShiftDecomposition) -> ShiftDecomposition | None:
-    """The same recentred expansion read at the next nonzero order, with the
-    stranded lower coefficient dropped.  None when no higher order exists."""
-    q = shift.quotient.coeffs
-    for m in range(1, len(q)):
-        if not q[m].is_zero:
-            return ShiftDecomposition(
-                shift.base_value, shift.order + m, Polynomial(q[m:])
-            )
-    return None
+def _descent_round(
+    poly: Polynomial,
+    z: ComplexScalar,
+    f_z,
+    lead_norm,
+    exact: bool,
+    step_init,
+    shrink,
+    max_backtracks: int,
+) -> tuple[DescentStep, ComplexScalar, Scalar] | None:
+    """One descent round at z (see the module docstring), on the value type
+    ``poly.native`` picks for z.  Returns the step, the accepted point and
+    its objective, or None when the line search exhausts its shrinks at
+    every usable order."""
+    coeffs, w = poly.native(z)
+    make = type(w)
+    b = shifted(coeffs, w)
+    norms = shift_norms(b, lead_norm)
+    order = shift_order(norms, exact)
+    z_re, z_im = w.real, w.imag
+    while True:
+        alpha = b[0].conjugate() * b[order]
+        candidate, zeta, rate = steepest_candidate(alpha, order)
+        descent_rate = -rate  # |Re[alpha zeta^k]|
+        zeta_re, zeta_im = zeta.real, zeta.imag
+        r = step_init
+        for backtracks in range(max_backtracks + 1):
+            # z + zeta * r, built from its parts.
+            trial = make(z_re + zeta_re * r, z_im + zeta_im * r)
+            f_trial = square_modulus(coeffs, trial)
+            # Sufficient decrease, written multiplicatively so exact integer
+            # coefficients stay exact.  The strict part guards against zero
+            # steps once r underflows.
+            if f_trial < f_z and 2 * (f_z - f_trial) >= r**order * descent_rate:
+                step = DescentStep(
+                    z=z,
+                    f_value=f_z,
+                    order=order,
+                    alpha=ComplexScalar(alpha.real, alpha.imag),
+                    direction=candidate,
+                    r_accepted=r,
+                    backtracks=backtracks,
+                    m_bound=_decrease_bound(
+                        norms[0], norms[order:], candidate.zeta.one_norm(), order
+                    ),
+                )
+                return step, ComplexScalar(trial.real, trial.imag), f_trial
+            r = r * shrink
+        # Exhausted.  In the float backend the order's coefficient is
+        # numerically stranded (see module docstring); retry the round at
+        # the next nonzero order, dropping the stranded coefficients.
+        # Exact mode keeps literal orders.
+        if exact:
+            return None
+        order = next((j for j in range(order + 1, len(b)) if norms[j] != 0), None)
+        if order is None:
+            return None
 
 
-def _start_candidates(poly: Polynomial) -> list[ComplexScalar]:
-    """0 plus axis and corner points at the certified radius and four
-    halvings of it, in a fixed enumeration order."""
+def _start_parts(poly: Polynomial) -> list[tuple]:
+    """The parts of 0 plus axis and corner points at the certified radius
+    and four halvings of it, in a fixed enumeration order."""
     exact = poly.is_exact()
     radius = poly.growth_radius()
-    zero = ZERO if exact else ZERO.to_float()
-    points = [zero]
+    o = 0 if exact else 0.0
+    parts = [(o, o)]
     for m in range(5):
         s = Fraction(radius, 2**m) if exact else radius / float(2**m)
-        o = 0 if exact else 0.0
-        points.extend(
-            [
-                ComplexScalar(s, o),
-                ComplexScalar(-s, o),
-                ComplexScalar(o, s),
-                ComplexScalar(o, -s),
-                ComplexScalar(s, s),
-                ComplexScalar(s, -s),
-                ComplexScalar(-s, s),
-                ComplexScalar(-s, -s),
-            ]
-        )
-    return points
+        parts += [(s, o), (-s, o), (o, s), (o, -s), (s, s), (s, -s), (-s, s), (-s, -s)]
+    return parts
 
 
 def _best_start(poly: Polynomial) -> ComplexScalar:
+    """The start point with the smallest objective (the first on ties)."""
+    parts = _start_parts(poly)
+    coeffs, w = poly.native(ComplexScalar(*parts[0]))
+    make = type(w)
     best = None
     best_f = None
-    for point in _start_candidates(poly):
-        f = poly.objective(point)
+    for re, im in parts:
+        f = square_modulus(coeffs, make(re, im))
         if best_f is None or f < best_f:
-            best, best_f = point, f
-    return best
+            best, best_f = (re, im), f
+    return ComplexScalar(*best)
 
 
 def _polish(

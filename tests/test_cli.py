@@ -274,3 +274,53 @@ def test_trace_partial_on_nonconvergence(capsys, tmp_path):
 def test_trace_requires_csv_flag(capsys):
     assert main(["trace", "--coeffs", "1,0,1"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# solver flags
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tol", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "0"],
+        ["--tol=-1e-9"],
+        ["--max-outer", "0"],
+        ["--max-outer", "-1"],
+        ["--max-backtracks", "-1"],
+    ],
+)
+def test_solve_and_trace_reject_bad_solver_flags(capsys, tmp_path, flags):
+    assert main(["solve", "--coeffs=1,2,3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    path = tmp_path / "steps.csv"
+    assert main(["trace", "--coeffs=1,2,3", "--csv", str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_nth_root_rejects_bad_tol(capsys, tol):
+    assert main(["nth-root", "2", "2", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_solve_accepts_zero_backtracks(capsys):
+    # 0 is a valid shrink limit (one trial per order), not "use the default".
+    assert main(["solve", "--coeffs=2,0,1", "--max-backtracks", "0"]) in (0, 3)
+    assert "error: max_backtracks" not in capsys.readouterr().err
+
+
+def test_trace_to_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "steps.csv"
+    assert main(["trace", "--coeffs=1,0,1", "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}")
+    assert "Traceback" not in captured.err

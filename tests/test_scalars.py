@@ -52,6 +52,12 @@ def test_conj():
     assert C(3, -2).conj() == C(3, 2)
     assert C(3, -2).conj().conj() == C(3, -2)
     assert ZERO.conj() == ZERO
+    # The builtin complex spellings, which the solver's kernels use.
+    z = C(Fraction(3, 2), -2)
+    assert (z.real, z.imag) == (Fraction(3, 2), -2)
+    assert z.conjugate() == C(Fraction(3, 2), 2)
+    w = complex(1.5, -2.0).conjugate()
+    assert C(1.5, -2.0).conjugate() == C(w.real, w.imag)
 
 
 def test_one_norm_examples():

@@ -309,3 +309,45 @@ def test_steps_record_the_picked_direction():
     _, trace = descend_to_root(P(2.0, 0.0, 1.0), C(1.5, 0.5))
     for step in trace.steps:
         assert step.direction == pick_descent_direction(step.alpha, step.order)
+
+
+# ---------------------------------------------------------------------------
+# solver settings
+# ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("residual_tol", 0.0),
+        ("residual_tol", -1e-9),
+        ("residual_tol", INF),
+        ("residual_tol", NAN),
+        ("step_init", 0.0),
+        ("step_init", -1.0),
+        ("step_init", INF),
+        ("step_init", NAN),
+        ("step_shrink", 0.0),
+        ("step_shrink", 1.0),
+        ("step_shrink", 1.5),
+        ("step_shrink", NAN),
+        ("max_outer", 0),
+        ("max_outer", -1),
+        ("max_outer", 2.5),
+        ("max_backtracks", -1),
+        ("max_backtracks", 1.5),
+    ],
+)
+def test_solver_config_rejects_out_of_range(field, bad):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: bad})
+
+
+def test_solver_config_accepts_the_edges():
+    config = SolverConfig(residual_tol=1e-300, step_shrink=0.999, max_outer=1, max_backtracks=0)
+    assert config.max_backtracks == 0
+    # The smallest limits still run: one round, a single trial per order.
+    with pytest.raises(SolveError):
+        find_all_roots(P(2.0, 0.0, 1.0), config)
