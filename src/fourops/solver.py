@@ -7,13 +7,15 @@ One descent round at a point z:
    with the most negative normalized Re[alpha * zeta^k]
    (``pick_descent_direction``; such a direction always exists for
    alpha != 0).
-3. Step: backtracking line search from r = step_init, multiplying by
-   step_shrink until the sufficient decrease
+3. Step: backtracking line search over the fixed schedule
+   r = 1, 1/2, 1/4, ... until the sufficient decrease
 
        f(z + r*zeta) <= f(z) - (1/2) * r^k * |Re[alpha * zeta^k]|
 
    holds (the right side tracks the leading term 2 r^k Re[alpha*zeta^k]
-   of the expansion of f along the ray).
+   of the expansion of f along the ray).  The schedule is not a setting:
+   the per-step certificate of ``certified_decrease_bound`` is a theorem
+   only for a first trial at 1 and each next trial at half the last.
 
 Float backend only: when the line search exhausts its shrinks, the round
 is retried at the next nonzero order.  That happens next to a critical
@@ -25,9 +27,11 @@ quadrant direction, which leaves the axis the critical point sits on)
 restores a float-visible decrease.  The accepted step still has to lower
 the true objective, so monotonicity is never taken on faith.
 
-Descent stops when f(z) <= residual_tol^2 * scale where scale is the
-squared coefficient one-norm of the polynomial, a scale-invariant way of
-saying "the residual is tiny next to the coefficients".
+Descent stops when f(z) <= residual_tol^2 * scale^2 where scale is the
+coefficient one-norm of the polynomial, a scale-invariant way of saying
+"the residual is tiny next to the coefficients".  When residual_tol^2 *
+scale^2 leaves the float range, the test reads f(z) / (residual_tol *
+scale)^2 <= 1 instead, divided in an order that cannot overflow.
 
 The same round runs over exact rationals, where it certifies rather than
 approximates; rational step arithmetic squares coefficient sizes every
@@ -57,7 +61,7 @@ reduces real n-th roots to a solve of z^n - c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 # The round calls steepest_candidate; pick_descent_direction, its form at the
@@ -101,25 +105,20 @@ POLISH_MAX_OUTER = 5
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
-    """Descent settings.  Construction raises ValueError unless residual_tol
-    and step_init are finite and > 0, 0 < step_shrink < 1, and max_outer
+    """Descent settings: the residual target, the most descent rounds per
+    root and the most halvings of the step in one line search (the step
+    schedule itself is fixed, see the module docstring).  Construction
+    raises ValueError unless residual_tol is finite and > 0, and max_outer
     >= 1 and max_backtracks >= 0 are integers."""
 
     residual_tol: float = 1e-9
-    step_init: float = 1.0
-    step_shrink: float = 0.5
     max_outer: int = 10_000
     max_backtracks: int = 200
-    keep_traces: bool = True
 
     def __post_init__(self):
         # NaN fails every comparison, so it is rejected too.
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
-        if not 0 < self.step_init < math.inf:
-            raise ValueError(f"step_init must be finite and > 0, got {self.step_init!r}")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError(f"step_shrink must be > 0 and < 1, got {self.step_shrink!r}")
         if not isinstance(self.max_outer, int) or self.max_outer < 1:
             raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
         if not isinstance(self.max_backtracks, int) or self.max_backtracks < 0:
@@ -160,7 +159,7 @@ class RootResult:
     roots: tuple[ComplexScalar, ...]
     residual_one_norms: tuple[Scalar, ...]
     iterations: int
-    traces: tuple[DescentTrace, ...] | None
+    traces: tuple[DescentTrace, ...]
 
 
 class ConvergenceError(RuntimeError):
@@ -208,8 +207,9 @@ def certified_decrease_bound(shift: ShiftDecomposition, candidate: DirectionCand
 
         -2 Re[alpha zeta^k] <= 3 r M          (accepted r < 1)
 
-    a theorem rather than a heuristic: acceptance at r < 1 means the trial
-    at 2r <= 1 failed sufficient decrease, which forces
+    a theorem rather than a heuristic.  The proof rests on the fixed step
+    schedule r = 1, 1/2, 1/4, ...: acceptance at r < 1 means the trial at
+    2r <= 1 failed sufficient decrease, which forces
     (3/2) |Re[alpha zeta^k]| < 2*(2r) M1 + (2r)^k M2 <= 4 r M1 + 2 r M2,
     hence -2 Re[alpha zeta^k] < (16/3) r M1 + (8/3) r M2 <= 3 r (2 M1 + M2).
     """
@@ -237,34 +237,11 @@ def _decrease_bound(base_norm, quotient_norms, zeta_norm, k: int):
 
     zeta_norm_k = zeta_norm**k
     m1 = base_norm * zeta_norm_k * zeta_norm * weighted_rest
-    m2 = (zeta_norm_k * weighted_all) ** 2
+    try:
+        m2 = (zeta_norm_k * weighted_all) ** 2
+    except OverflowError:  # float ** raises where * gives inf
+        m2 = math.inf
     return 2 * m1 + m2
-
-
-def _exact_limits(poly: Polynomial, z_start: ComplexScalar, config: SolverConfig):
-    """Per-backend numeric constants for one descent run."""
-    exact = poly.is_exact() and z_start.is_exact()
-    if exact:
-        if poly.degree > EXACT_MAX_DEGREE:
-            raise ValueError(
-                f"exact descent is gated to degree <= {EXACT_MAX_DEGREE}, got {poly.degree}"
-            )
-        return (
-            True,
-            Fraction(config.step_init),
-            Fraction(config.step_shrink),
-            Fraction(config.residual_tol),
-            min(config.max_outer, EXACT_MAX_OUTER),
-            min(config.max_backtracks, EXACT_MAX_BACKTRACKS),
-        )
-    return (
-        False,
-        config.step_init,
-        config.step_shrink,
-        config.residual_tol,
-        config.max_outer,
-        config.max_backtracks,
-    )
 
 
 def descend_to_root(
@@ -281,11 +258,20 @@ def descend_to_root(
     """
     if poly.degree < 1:
         raise ValueError("descend_to_root requires degree >= 1")
-    exact, step_init, shrink, tol, max_outer, max_backtracks = _exact_limits(
-        poly, z_start, config
-    )
+    tol, max_outer, max_backtracks = config.residual_tol, config.max_outer, config.max_backtracks
+    exact = poly.is_exact() and z_start.is_exact()
+    if exact:
+        if poly.degree > EXACT_MAX_DEGREE:
+            raise ValueError(
+                f"exact descent is gated to degree <= {EXACT_MAX_DEGREE}, got {poly.degree}"
+            )
+        tol = Fraction(tol)
+        max_outer = min(max_outer, EXACT_MAX_OUTER)
+        max_backtracks = min(max_backtracks, EXACT_MAX_BACKTRACKS)
     scale = poly.coeff_one_norm()
     stop = tol * tol * scale * scale
+    # Past the float range, test f / (tol*scale)^2 <= 1 instead.
+    tol_scale = tol * scale if stop == math.inf else None
 
     lead_norm = poly.coeffs[-1].one_norm()
 
@@ -295,7 +281,7 @@ def descend_to_root(
     steps: list[DescentStep] = []
     outer = 0
     while True:
-        if f_z <= stop:
+        if (f_z <= stop) if tol_scale is None else (f_z / tol_scale / tol_scale <= 1):
             return z, DescentTrace(z_start, tuple(steps), z, f_z, True, phase)
         if outer >= max_outer:
             trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
@@ -307,9 +293,7 @@ def descend_to_root(
             )
         outer += 1
 
-        accepted = _descent_round(
-            poly, z, f_z, lead_norm, exact, step_init, shrink, max_backtracks
-        )
+        accepted = _descent_round(poly, z, f_z, lead_norm, exact, max_backtracks)
         if accepted is None:
             trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
             raise ConvergenceError(
@@ -331,8 +315,6 @@ def _descent_round(
     f_z,
     lead_norm,
     exact: bool,
-    step_init,
-    shrink,
     max_backtracks: int,
 ) -> tuple[DescentStep, ComplexScalar, Scalar] | None:
     """One descent round at z (see the module docstring), on the value type
@@ -345,12 +327,14 @@ def _descent_round(
     norms = shift_norms(b, lead_norm)
     order = shift_order(norms, exact)
     z_re, z_im = w.real, w.imag
+    # The step schedule r = 1, 1/2, 1/4, ... in the backend's number type.
+    first_r, half = (Fraction(1), Fraction(1, 2)) if exact else (1.0, 0.5)
     while True:
         alpha = b[0].conjugate() * b[order]
         candidate, zeta, rate = steepest_candidate(alpha, order)
         descent_rate = -rate  # |Re[alpha zeta^k]|
         zeta_re, zeta_im = zeta.real, zeta.imag
-        r = step_init
+        r = first_r
         for backtracks in range(max_backtracks + 1):
             # z + zeta * r, built from its parts.
             trial = make(z_re + zeta_re * r, z_im + zeta_im * r)
@@ -372,7 +356,7 @@ def _descent_round(
                     ),
                 )
                 return step, ComplexScalar(trial.real, trial.imag), f_trial
-            r = r * shrink
+            r = r * half
         # Exhausted.  In the float backend the order's coefficient is
         # numerically stranded (see module docstring); retry the round at
         # the next nonzero order, dropping the stranded coefficients.
@@ -416,7 +400,11 @@ def _polish(
 ) -> tuple[ComplexScalar, DescentTrace]:
     """A few descent rounds against the original polynomial; best effort,
     never worse than the input point."""
-    polish_config = replace(config, max_outer=POLISH_MAX_OUTER)
+    polish_config = SolverConfig(
+        residual_tol=config.residual_tol,
+        max_outer=POLISH_MAX_OUTER,
+        max_backtracks=config.max_backtracks,
+    )
     try:
         return descend_to_root(original, z, polish_config, phase="polish")
     except ConvergenceError as err:
@@ -456,32 +444,31 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
             start = _best_start(work)
             root, trace = descend_to_root(work, start, config)
             iterations += len(trace.steps)
-            if config.keep_traces:
-                traces.append(trace)
+            traces.append(trace)
             root, polish_trace = _polish(poly, root, config)
         except ConvergenceError as err:
             iterations += len(err.trace.steps)
-            partial = _package(poly, roots, traces + [err.trace], iterations, config)
+            partial = _package(poly, roots, traces + [err.trace], iterations)
             raise SolveError(
                 f"stalled after {len(roots)} of {poly.degree} roots: {err}",
                 partial,
                 err,
             ) from err
         except NonFiniteObjectiveError as err:
-            partial = _package(poly, roots, traces, iterations, config)
+            partial = _package(poly, roots, traces, iterations)
             raise SolveError(
                 f"stopped after {len(roots)} of {poly.degree} roots: {err}",
                 partial,
                 err,
             ) from err
         iterations += len(polish_trace.steps)
-        if config.keep_traces and polish_trace.steps:
+        if polish_trace.steps:
             traces.append(polish_trace)
 
         roots.append(root)
         work, _ = work.deflate(root)
 
-    return _package(poly, roots, traces, iterations, config)
+    return _package(poly, roots, traces, iterations)
 
 
 def _package(
@@ -489,7 +476,6 @@ def _package(
     roots: list[ComplexScalar],
     traces: list[DescentTrace],
     iterations: int,
-    config: SolverConfig,
 ) -> RootResult:
     ordered = tuple(sorted(roots, key=lambda z: (z.re, z.im)))
     residuals = tuple(original.evaluate(z).one_norm() for z in ordered)
@@ -497,7 +483,7 @@ def _package(
         roots=ordered,
         residual_one_norms=residuals,
         iterations=iterations,
-        traces=tuple(traces) if config.keep_traces else None,
+        traces=tuple(traces),
     )
 
 

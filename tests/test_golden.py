@@ -1,0 +1,56 @@
+"""Golden outputs: a sha256 of the ``repr`` of every result (or error) on
+a fixed set of seeded solves, float and exact.
+
+The repr covers every root, residual and ``DescentStep``, float bits and
+signed zeros included, so any change that moves an iterate changes the
+digest.  Such a change must update the digest here on purpose, and say
+why.
+"""
+
+import hashlib
+from fractions import Fraction
+
+from fourops.poly import Polynomial
+from fourops.sampling import SplitMix64, random_box_float
+from fourops.scalars import ComplexScalar
+from fourops.solver import SolveError, SolverConfig, find_all_roots
+
+FLOAT_DIGEST = "5517858e0053c92734937324e0bd150ecc9780bcde076aea9fa63ee5e5fec2ac"
+EXACT_DIGEST = "e51d0dff9434f184d23d5b4a1129f242f1a649d22c8a5f2cfd2ee1d4093d77d3"
+
+
+def outcome(poly, config=SolverConfig()):
+    try:
+        return repr(find_all_roots(poly, config))
+    except SolveError as err:
+        return repr(("SolveError", str(err), err.partial))
+
+
+def digest(outcomes):
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+def test_float_solves_are_bit_identical():
+    rng = SplitMix64(2024)
+    config = SolverConfig(residual_tol=1e-12)
+    outcomes = []
+    for degree in range(1, 17):
+        roots = [
+            ComplexScalar(random_box_float(rng, 2.0), random_box_float(rng, 2.0))
+            for _ in range(degree)
+        ]
+        outcomes.append(outcome(Polynomial.from_roots(roots), config))
+    assert digest(outcomes) == FLOAT_DIGEST
+
+
+def small_rational(rng):
+    return Fraction(int(rng.next_u64() % 7) - 3, 1 + int(rng.next_u64() % 3))
+
+
+def test_exact_solves_are_bit_identical():
+    rng = SplitMix64(7)
+    outcomes = []
+    for degree in (1, 2, 3, 4, 1, 2, 3, 4):
+        roots = [ComplexScalar(small_rational(rng), small_rational(rng)) for _ in range(degree)]
+        outcomes.append(outcome(Polynomial.from_roots(roots)))
+    assert digest(outcomes) == EXACT_DIGEST

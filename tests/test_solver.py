@@ -113,6 +113,28 @@ def test_descend_max_outer_exhaustion():
     assert err.best_f <= poly.objective(C(8.0, 0.0))
 
 
+def test_stop_test_past_the_float_range():
+    # tol^2 * scale^2 overflows for all three; the stop reads f / (tol*scale)^2.
+    # |P(0)| = 1e200 is far above tol * scale = 1e191: not a root.
+    with pytest.raises((ConvergenceError, NonFiniteObjectiveError)):
+        descend_to_root(P(1e200, 0.0, 1.0), C(0.0, 0.0))
+    # |P(0)| / scale is about 5e-301 and 1e-200: 0 meets the contract.
+    for coeffs in ((0.5, 1e300), (1.0, 1e200)):
+        root, trace = descend_to_root(P(*coeffs), C(0.0, 0.0))
+        assert trace.converged
+        assert root == C(0.0, 0.0)
+        assert trace.steps == ()
+
+
+def test_decrease_bound_overflow_is_inf():
+    # f(0) = (1e160)^2 is inf; the bound's float square overflows to inf
+    # instead of raising, and the step to the root 1 is taken.
+    root, trace = descend_to_root(P(-1e160, 1e160), C(0.0, 0.0))
+    assert trace.converged
+    assert root == C(1.0, 0.0)
+    assert trace.steps[0].m_bound == INF
+
+
 def test_descend_exact_linear():
     root, trace = descend_to_root(P(-2, 1), ZERO)
     assert root == C(2)
@@ -198,11 +220,6 @@ def test_find_all_roots_is_deterministic():
     b = find_all_roots(poly)
     assert a.roots == b.roots
     assert a.iterations == b.iterations
-
-
-def test_keep_traces_off():
-    result = find_all_roots(P(-6.0, 11.0, -6.0, 1.0), SolverConfig(keep_traces=False))
-    assert result.traces is None
 
 
 def test_find_all_roots_degree_zero_rejected():
@@ -325,14 +342,6 @@ NAN, INF = float("nan"), float("inf")
         ("residual_tol", -1e-9),
         ("residual_tol", INF),
         ("residual_tol", NAN),
-        ("step_init", 0.0),
-        ("step_init", -1.0),
-        ("step_init", INF),
-        ("step_init", NAN),
-        ("step_shrink", 0.0),
-        ("step_shrink", 1.0),
-        ("step_shrink", 1.5),
-        ("step_shrink", NAN),
         ("max_outer", 0),
         ("max_outer", -1),
         ("max_outer", 2.5),
@@ -345,8 +354,13 @@ def test_solver_config_rejects_out_of_range(field, bad):
         SolverConfig(**{field: bad})
 
 
+def test_solver_config_has_no_step_schedule_setting():
+    with pytest.raises(TypeError):
+        SolverConfig(step_init=0.75)
+
+
 def test_solver_config_accepts_the_edges():
-    config = SolverConfig(residual_tol=1e-300, step_shrink=0.999, max_outer=1, max_backtracks=0)
+    config = SolverConfig(residual_tol=1e-300, max_outer=1, max_backtracks=0)
     assert config.max_backtracks == 0
     # The smallest limits still run: one round, a single trial per order.
     with pytest.raises(SolveError):
