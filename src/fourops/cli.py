@@ -10,6 +10,11 @@ Subcommands:
 * ``nth-root``: positive real n-th root via a polynomial solve.
 * ``trace``: run one descent and export the per-step CSV record.
 
+Solver flags ``--tol`` and ``--max-outer`` (descent rounds per root)
+default to ``DEFAULT_CONFIG``.  Polish (5 rounds), exact descents (at most
+64 rounds) and line searches (200 shrinks per order, 64 exact) have fixed
+limits; ``--max-backtracks`` exits 2 like any unknown flag.
+
 Exit codes: 0 success, 2 usage error (including coefficients that are
 infinite, NaN or outside the float range, solver settings that
 ``SolverConfig`` rejects, such as ``--tol 0``, ``--tol inf`` or
@@ -31,6 +36,7 @@ from .poly import NonFiniteObjectiveError, Polynomial
 from .sampling import SplitMix64, random_exact_complex
 from .scalars import ComplexScalar, ZERO, check_norm_product
 from .solver import (
+    DEFAULT_CONFIG,
     ConvergenceError,
     SolveError,
     SolverConfig,
@@ -130,7 +136,6 @@ def _config(args) -> SolverConfig:
     flags = {
         "residual_tol": getattr(args, "tol", None),
         "max_outer": getattr(args, "max_outer", None),
-        "max_backtracks": getattr(args, "max_backtracks", None),
     }
     try:
         return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
@@ -225,7 +230,7 @@ def cmd_nth_root(args) -> int:
     config = _config(args)
     try:
         value = positive_nth_root(args.c, args.n, config)
-    except (ConvergenceError, SolveError, ArithmeticError) as err:
+    except (SolveError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     print(repr(value))
@@ -288,11 +293,9 @@ def _add_poly_inputs(sub) -> None:
 
 
 def _add_config_flags(sub) -> None:
-    sub.add_argument("--tol", type=float, help="residual tolerance (default 1e-9)")
-    sub.add_argument("--max-outer", type=int, help="descent round limit (default 10000)")
-    sub.add_argument(
-        "--max-backtracks", type=int, help="line search shrink limit (default 200)"
-    )
+    tol, rounds = DEFAULT_CONFIG.residual_tol, DEFAULT_CONFIG.max_outer
+    sub.add_argument("--tol", type=float, help=f"residual tolerance (default {tol})")
+    sub.add_argument("--max-outer", type=int, help=f"descent round limit (default {rounds})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     nroot = commands.add_parser("nth-root", help="positive real n-th root of c")
     nroot.add_argument("c", type=float, help="positive real radicand")
     nroot.add_argument("n", type=int, help="root order (integer >= 2)")
-    nroot.add_argument("--tol", type=float, help="residual tolerance (default 1e-9)")
+    nroot.add_argument(
+        "--tol", type=float, help=f"residual tolerance (default {DEFAULT_CONFIG.residual_tol})"
+    )
     nroot.set_defaults(handler=cmd_nth_root)
 
     trace = commands.add_parser("trace", help="run one descent and export its CSV trace")

@@ -8,18 +8,19 @@ degree-n coefficient is nonzero after construction; literal zero
 coefficients at the high end are trimmed.
 
 Kernels.  Horner evaluation, the objective and the Taylor shift are
-module functions over one value type (``Polynomial.native`` picks it):
-builtin ``complex`` (a copy of the coefficients cached on the polynomial)
-when both parts of the point are ``float``, ``ComplexScalar`` otherwise.
-They use + and x only, and read values through ``real``, ``imag`` and
-``conjugate()``, which both types have.  CPython computes complex + and x
-with the same IEEE expressions as ``ComplexScalar.__add__`` / ``__mul__``,
-and converting an ``int`` or ``Fraction`` part to ``float`` rounds exactly
-as Python's mixed arithmetic does, so both types give the same bits.  No
-complex division and no ``abs()`` of a complex value occur, so there is no
-square root and no Smith division.  The methods convert back to
-``ComplexScalar`` only for what they return; the solver's descent round
-calls the kernels directly.
+module functions over one value type: builtin ``complex`` (over the
+cached ``complex_coeffs``) or ``ComplexScalar``.  The methods pick it per
+call with ``native`` (``complex`` when both parts of the point are
+float), the solver once per descent.  They use + and x only, and read
+values through ``real``, ``imag`` and ``conjugate()``, which both types
+have.  CPython computes complex + and x with the same IEEE expressions as
+``ComplexScalar.__add__`` / ``__mul__``, and converting an ``int`` or
+``Fraction`` part to ``float`` rounds exactly as Python's mixed
+arithmetic does, so both types give the same bits.  No complex division
+and no ``abs()`` of a complex value occur, so there is no square root and
+no Smith division.  The methods convert back to ``ComplexScalar`` only
+for what they return; the solver's descent round calls the kernels
+directly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ __all__ = ["REL_ZERO_EPS", "NonFiniteObjectiveError", "Polynomial", "ShiftDecomp
 class NonFiniteObjectiveError(ArithmeticError):
     """The float objective is not a finite real number: P(z) is infinite or
     NaN, or the product Re P(z) * Im P(z) overflowed, so the imaginary
-    part of P(z) * conj(P(z)) did not cancel to 0."""
+    part of P(z) * conj(P(z)) did not cancel to 0.  Not every overflow
+    raises: see ``square_modulus``."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +68,7 @@ class ShiftDecomposition:
 @dataclass(frozen=True, slots=True)
 class Polynomial:
     coeffs: tuple[ComplexScalar, ...]
-    # The coefficients as builtin complex values, built by the first
-    # ``native`` call at a float point.
+    # The coefficients as builtin complex values (``complex_coeffs``).
     _complex: tuple[complex, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -147,17 +148,21 @@ class Polynomial:
 
     # -- evaluation -------------------------------------------------------------
 
+    def complex_coeffs(self) -> tuple[complex, ...]:
+        """The coefficients as builtin ``complex`` values, cached on first use."""
+        coeffs = self._complex
+        if coeffs is None:
+            coeffs = tuple(complex(c.re, c.im) for c in self.coeffs)
+            object.__setattr__(self, "_complex", coeffs)
+        return coeffs
+
     def native(self, z: ComplexScalar) -> tuple[tuple, complex | ComplexScalar]:
         """The coefficients and z in the kernels' value type: builtin
         ``complex`` when both parts of z are ``float`` and the degree is at
         least 1, else the ``ComplexScalar`` values themselves (so exact
         points stay exact and degree 0 keeps its coefficient's parts)."""
         if len(self.coeffs) > 1 and isinstance(z.re, float) and isinstance(z.im, float):
-            coeffs = self._complex
-            if coeffs is None:
-                coeffs = tuple(complex(c.re, c.im) for c in self.coeffs)
-                object.__setattr__(self, "_complex", coeffs)
-            return coeffs, complex(z.re, z.im)
+            return self.complex_coeffs(), complex(z.re, z.im)
         return self.coeffs, z
 
     def evaluate(self, z: ComplexScalar) -> ComplexScalar:
@@ -299,7 +304,7 @@ def _exact(value) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Kernels.  Each takes ascending coefficients and a point of one value type,
-# builtin complex or ComplexScalar (``Polynomial.native`` picks it), and uses
+# builtin complex or ComplexScalar (see the module docstring), and uses
 # + and x only.
 # ---------------------------------------------------------------------------
 
@@ -318,7 +323,8 @@ def square_modulus(coeffs, z):
     The product's imaginary part x*(-y) + y*x cancels identically for
     finite P(z) (also in floats, where both contributions round the same
     way).  When it does not, P(z) or x*y left the float range, and
-    NonFiniteObjectiveError is raised rather than the part dropped.
+    NonFiniteObjectiveError is raised rather than the part dropped.  When
+    P(z) lies on an axis and its square overflows, f = inf is returned.
     """
     w = horner(coeffs, z)
     x, y = w.real, w.imag

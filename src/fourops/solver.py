@@ -37,14 +37,15 @@ The same round runs over exact rationals, where it certifies rather than
 approximates; rational step arithmetic squares coefficient sizes every
 iteration, so exact mode is gated to low degree and few iterations.
 
-The round is written once, over the value type ``Polynomial.native``
-picks for the point: builtin ``complex`` when both parts of z are float,
-``ComplexScalar`` otherwise (``ComplexScalar`` has the ``real``, ``imag``
-and ``conjugate()`` spellings of ``complex``).  The shift, the order,
-alpha, the direction, the bound M and every line-search trial stay in
-that type, through the kernels of ``poly`` and
-``estermann.steepest_candidate``; only the ``DescentStep`` and the
-accepted point are built as ``ComplexScalar``.  CPython computes complex
+``descend_to_root`` settles each descent's arithmetic and limits once, at
+entry (see ``SolverConfig`` for the limits).  The round is written once:
+on ``ComplexScalar`` when both the polynomial and the start are exact,
+else on builtin ``complex``, with any int or Fraction part of the start
+rounded to float first.  The shift, the order, alpha, the direction, the
+bound M and every line-search trial stay in that type, through the
+kernels of ``poly`` and ``estermann.steepest_candidate``; only the
+``DescentStep`` and the accepted point are built as ``ComplexScalar``
+(the round returns the trial point in its own type).  CPython computes complex
 + and x with the same IEEE expressions as ``ComplexScalar``, so both
 types take the same iterates bit for bit.  A trial point is built from
 its parts, z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
@@ -92,6 +93,9 @@ __all__ = [
     "positive_nth_root",
 ]
 
+# The most halvings of the step in one line search at one order.
+MAX_BACKTRACKS = 200
+
 # Exact (rational) descent squares denominators at every objective
 # evaluation, so it is only offered for small instances.
 EXACT_MAX_DEGREE = 4
@@ -105,15 +109,19 @@ POLISH_MAX_OUTER = 5
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
-    """Descent settings: the residual target, the most descent rounds per
-    root and the most halvings of the step in one line search (the step
-    schedule itself is fixed, see the module docstring).  Construction
-    raises ValueError unless residual_tol is finite and > 0, and max_outer
-    >= 1 and max_backtracks >= 0 are integers."""
+    """Descent settings: the residual target and ``max_outer``, the most
+    descent rounds per root.  Construction raises ValueError unless
+    residual_tol is finite and > 0 and max_outer is an integer >= 1.
+
+    The other limits are part of the algorithm: a polish descent always
+    gets POLISH_MAX_OUTER = 5 rounds, an exact descent at most
+    EXACT_MAX_OUTER = 64, and a line search shrinks the step (1, 1/2, ...)
+    at most MAX_BACKTRACKS = 200 times per order in floats, where running
+    out moves the round to the next order, and EXACT_MAX_BACKTRACKS = 64
+    times exact."""
 
     residual_tol: float = 1e-9
     max_outer: int = 10_000
-    max_backtracks: int = 200
 
     def __post_init__(self):
         # NaN fails every comparison, so it is rejected too.
@@ -121,10 +129,6 @@ class SolverConfig:
             raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
         if not isinstance(self.max_outer, int) or self.max_outer < 1:
             raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
-        if not isinstance(self.max_backtracks, int) or self.max_backtracks < 0:
-            raise ValueError(
-                f"max_backtracks must be an integer >= 0, got {self.max_backtracks!r}"
-            )
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -164,7 +168,8 @@ class RootResult:
 
 class ConvergenceError(RuntimeError):
     """Descent ran out of iterations (or of step sizes) before the residual
-    target; carries the best point seen and the trace so far."""
+    target; carries the point reached, which is the best seen because every
+    accepted step lowers f, and the trace so far."""
 
     def __init__(self, message: str, best_z: ComplexScalar, best_f, trace: DescentTrace):
         super().__init__(message)
@@ -252,14 +257,18 @@ def descend_to_root(
 ) -> tuple[ComplexScalar, DescentTrace]:
     """Run descent from z_start until the residual target is met.
 
-    Returns (root, trace).  Raises ConvergenceError when max_outer rounds
-    (or max_backtracks shrinks within a round) do not reach the target;
-    the error carries the best point seen and the partial trace.
+    Returns (root, trace).  Raises ConvergenceError when the round limit
+    (POLISH_MAX_OUTER when phase is "polish", else config.max_outer, at
+    most EXACT_MAX_OUTER when exact) or the shrink limit of a round at
+    every usable order runs out first; the error carries the point reached
+    and the partial trace.
     """
     if poly.degree < 1:
         raise ValueError("descend_to_root requires degree >= 1")
-    tol, max_outer, max_backtracks = config.residual_tol, config.max_outer, config.max_backtracks
     exact = poly.is_exact() and z_start.is_exact()
+    tol = config.residual_tol
+    max_outer = POLISH_MAX_OUTER if phase == "polish" else config.max_outer
+    max_backtracks = MAX_BACKTRACKS
     if exact:
         if poly.degree > EXACT_MAX_DEGREE:
             raise ValueError(
@@ -267,61 +276,51 @@ def descend_to_root(
             )
         tol = Fraction(tol)
         max_outer = min(max_outer, EXACT_MAX_OUTER)
-        max_backtracks = min(max_backtracks, EXACT_MAX_BACKTRACKS)
+        max_backtracks = EXACT_MAX_BACKTRACKS
+    coeffs, make = _arithmetic(poly, exact)
     scale = poly.coeff_one_norm()
     stop = tol * tol * scale * scale
     # Past the float range, test f / (tol*scale)^2 <= 1 instead.
     tol_scale = tol * scale if stop == math.inf else None
 
     lead_norm = poly.coeffs[-1].one_norm()
-
-    z = z_start
-    f_z = poly.objective(z)
-    best_z, best_f = z, f_z
+    z, w = z_start, make(z_start.re, z_start.im)
+    f_z = poly.objective(z_start)
     steps: list[DescentStep] = []
-    outer = 0
-    while True:
-        if (f_z <= stop) if tol_scale is None else (f_z / tol_scale / tol_scale <= 1):
-            return z, DescentTrace(z_start, tuple(steps), z, f_z, True, phase)
-        if outer >= max_outer:
-            trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
-            raise ConvergenceError(
-                f"no convergence within {max_outer} descent rounds (best f = {best_f})",
-                best_z,
-                best_f,
-                trace,
-            )
-        outer += 1
-
-        accepted = _descent_round(poly, z, f_z, lead_norm, exact, max_backtracks)
+    failure = None
+    while not ((f_z <= stop) if tol_scale is None else (f_z / tol_scale / tol_scale <= 1)):
+        if len(steps) >= max_outer:
+            failure = f"no convergence within {max_outer} descent rounds"
+            break
+        accepted = _descent_round(coeffs, z, w, f_z, lead_norm, exact, max_backtracks)
         if accepted is None:
-            trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
-            raise ConvergenceError(
-                f"line search exhausted {max_backtracks} shrinks at every "
-                f"usable order (best f = {best_f})",
-                best_z,
-                best_f,
-                trace,
-            )
-        step, z, f_z = accepted
+            failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
+            break
+        step, w, f_z = accepted
+        z = ComplexScalar(w.real, w.imag)
         steps.append(step)
-        if f_z < best_f:
-            best_z, best_f = z, f_z
+    trace = DescentTrace(z_start, tuple(steps), z, f_z, failure is None, phase)
+    if failure is not None:
+        raise ConvergenceError(f"{failure} (best f = {f_z})", z, f_z, trace)
+    return z, trace
+
+
+def _arithmetic(poly: Polynomial, exact: bool) -> tuple[tuple, type]:
+    """The kernels' coefficients and point type: the polynomial's own
+    coefficients and ``ComplexScalar`` when exact, else its cached builtin
+    ``complex`` coefficients and ``complex``."""
+    if exact:
+        return poly.coeffs, ComplexScalar
+    return poly.complex_coeffs(), complex
 
 
 def _descent_round(
-    poly: Polynomial,
-    z: ComplexScalar,
-    f_z,
-    lead_norm,
-    exact: bool,
-    max_backtracks: int,
-) -> tuple[DescentStep, ComplexScalar, Scalar] | None:
-    """One descent round at z (see the module docstring), on the value type
-    ``poly.native`` picks for z.  Returns the step, the accepted point and
-    its objective, or None when the line search exhausts its shrinks at
-    every usable order."""
-    coeffs, w = poly.native(z)
+    coeffs: tuple, z: ComplexScalar, w, f_z, lead_norm, exact: bool, max_backtracks: int
+) -> tuple[DescentStep, complex | ComplexScalar, Scalar] | None:
+    """One descent round at z (see the module docstring), on the kernels'
+    coefficients and w, which is z in their value type.  Returns the step,
+    the accepted point in that type and its objective, or None when the
+    line search exhausts its shrinks at every usable order."""
     make = type(w)
     b = shifted(coeffs, w)
     norms = shift_norms(b, lead_norm)
@@ -355,7 +354,7 @@ def _descent_round(
                         norms[0], norms[order:], candidate.zeta.one_norm(), order
                     ),
                 )
-                return step, ComplexScalar(trial.real, trial.imag), f_trial
+                return step, trial, f_trial
             r = r * half
         # Exhausted.  In the float backend the order's coefficient is
         # numerically stranded (see module docstring); retry the round at
@@ -368,9 +367,10 @@ def _descent_round(
             return None
 
 
-def _start_parts(poly: Polynomial) -> list[tuple]:
-    """The parts of 0 plus axis and corner points at the certified radius
-    and four halvings of it, in a fixed enumeration order."""
+def _best_start(poly: Polynomial) -> ComplexScalar:
+    """Of 0 and the axis and corner points at the certified radius and four
+    halvings of it, in a fixed enumeration order, the point with the
+    smallest objective (the first on ties)."""
     exact = poly.is_exact()
     radius = poly.growth_radius()
     o = 0 if exact else 0.0
@@ -378,14 +378,7 @@ def _start_parts(poly: Polynomial) -> list[tuple]:
     for m in range(5):
         s = Fraction(radius, 2**m) if exact else radius / float(2**m)
         parts += [(s, o), (-s, o), (o, s), (o, -s), (s, s), (s, -s), (-s, s), (-s, -s)]
-    return parts
-
-
-def _best_start(poly: Polynomial) -> ComplexScalar:
-    """The start point with the smallest objective (the first on ties)."""
-    parts = _start_parts(poly)
-    coeffs, w = poly.native(ComplexScalar(*parts[0]))
-    make = type(w)
+    coeffs, make = _arithmetic(poly, exact)
     best = None
     best_f = None
     for re, im in parts:
@@ -398,15 +391,10 @@ def _best_start(poly: Polynomial) -> ComplexScalar:
 def _polish(
     original: Polynomial, z: ComplexScalar, config: SolverConfig
 ) -> tuple[ComplexScalar, DescentTrace]:
-    """A few descent rounds against the original polynomial; best effort,
-    never worse than the input point."""
-    polish_config = SolverConfig(
-        residual_tol=config.residual_tol,
-        max_outer=POLISH_MAX_OUTER,
-        max_backtracks=config.max_backtracks,
-    )
+    """POLISH_MAX_OUTER descent rounds against the original polynomial;
+    best effort, never worse than the input point."""
     try:
-        return descend_to_root(original, z, polish_config, phase="polish")
+        return descend_to_root(original, z, config, phase="polish")
     except ConvergenceError as err:
         return err.best_z, err.trace
 

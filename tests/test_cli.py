@@ -290,7 +290,6 @@ def test_trace_requires_csv_flag(capsys):
         ["--tol=-1e-9"],
         ["--max-outer", "0"],
         ["--max-outer", "-1"],
-        ["--max-backtracks", "-1"],
     ],
 )
 def test_solve_and_trace_reject_bad_solver_flags(capsys, tmp_path, flags):
@@ -312,10 +311,11 @@ def test_nth_root_rejects_bad_tol(capsys, tol):
     assert captured.err.startswith("error: ")
 
 
-def test_solve_accepts_zero_backtracks(capsys):
-    # 0 is a valid shrink limit (one trial per order), not "use the default".
-    assert main(["solve", "--coeffs=2,0,1", "--max-backtracks", "0"]) in (0, 3)
-    assert "error: max_backtracks" not in capsys.readouterr().err
+def test_shrink_limit_is_not_a_flag(capsys):
+    assert main(["solve", "--coeffs=2,0,1", "--max-backtracks", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-backtracks" in captured.err
 
 
 def test_trace_to_unwritable_path_is_a_usage_error(capsys, tmp_path):

@@ -105,11 +105,11 @@ def ref_bound(base, quotient, zeta, k):
 def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=None):
     exact = p.is_exact() and z_start.is_exact()
     step_init, shrink, tol = 1.0, 0.5, config.residual_tol
-    max_outer, max_backtracks = config.max_outer, config.max_backtracks
+    max_outer, max_backtracks = config.max_outer, 200
     if exact:
         step_init, shrink, tol = Fraction(1), Fraction(1, 2), Fraction(tol)
         max_outer = min(max_outer, EXACT_MAX_OUTER)
-        max_backtracks = min(max_backtracks, EXACT_MAX_BACKTRACKS)
+        max_backtracks = EXACT_MAX_BACKTRACKS
     scale = p.coeff_one_norm()
     stop = tol * tol * scale * scale
     z = z_start

@@ -345,8 +345,6 @@ NAN, INF = float("nan"), float("inf")
         ("max_outer", 0),
         ("max_outer", -1),
         ("max_outer", 2.5),
-        ("max_backtracks", -1),
-        ("max_backtracks", 1.5),
     ],
 )
 def test_solver_config_rejects_out_of_range(field, bad):
@@ -359,9 +357,13 @@ def test_solver_config_has_no_step_schedule_setting():
         SolverConfig(step_init=0.75)
 
 
+def test_solver_config_has_no_shrink_limit_setting():
+    with pytest.raises(TypeError):
+        SolverConfig(max_backtracks=0)
+
+
 def test_solver_config_accepts_the_edges():
-    config = SolverConfig(residual_tol=1e-300, max_outer=1, max_backtracks=0)
-    assert config.max_backtracks == 0
-    # The smallest limits still run: one round, a single trial per order.
+    config = SolverConfig(residual_tol=1e-300, max_outer=1)
+    # The smallest limits still run: one round per root.
     with pytest.raises(SolveError):
         find_all_roots(P(2.0, 0.0, 1.0), config)
