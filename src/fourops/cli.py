@@ -10,18 +10,17 @@ Subcommands:
 * ``nth-root``: positive real n-th root via a polynomial solve.
 * ``trace``: run one descent and export the per-step CSV record.
 
-Solver flags ``--tol`` and ``--max-outer`` (descent rounds per root)
-default to ``DEFAULT_CONFIG``.  Polish (5 rounds), exact descents (at most
-64 rounds) and line searches (200 shrinks per order, 64 exact) have fixed
-limits; ``--max-backtracks`` exits 2 like any unknown flag.
+``solve``, ``trace`` and ``nth-root`` take the one solver setting,
+``--tol`` (the residual target, default ``DEFAULT_CONFIG.residual_tol``).
+The round and shrink limits are fixed (see ``SolverConfig``).
 
 Exit codes: 0 success, 2 usage error (including coefficients that are
-infinite, NaN or outside the float range, solver settings that
-``SolverConfig`` rejects, such as ``--tol 0``, ``--tol inf`` or
-``--max-outer 0``, and a ``--csv`` path that cannot be written), 3 the
-solve stopped early, by non-convergence or by an objective outside the
-float range (with a partial report on stdout).  Output for a fixed
-invocation and seed is byte-for-byte deterministic.
+infinite, NaN or outside the float range, a ``--tol`` that
+``SolverConfig`` rejects, such as ``0``, ``inf`` or ``nan``, an
+``nth-root`` argument out of range, and a ``--csv`` path that cannot be
+written), 3 the solve stopped early, by non-convergence or by an
+objective outside the float range (with a partial report on stdout).
+Output for a fixed invocation and seed is byte-for-byte deterministic.
 """
 
 from __future__ import annotations
@@ -71,30 +70,21 @@ class UsageError(Exception):
 
 
 def _parse_term(term: str) -> ComplexScalar:
-    """One coefficient: 're', 're+imi', 're-imi', or a pure imaginary 'imi'."""
-    text = term.replace(" ", "")
+    """One coefficient: 're', 're+imi', 're-imi', or a pure imaginary 'imi',
+    in Python's float syntax; whitespace is ignored."""
+    text = "".join(term.split())
     if not text:
         raise UsageError("empty coefficient term")
-    if not text.endswith("i"):
-        try:
-            return ComplexScalar(float(text), 0.0)
-        except ValueError:
-            raise UsageError(f"bad coefficient {term!r}") from None
-    body = text[:-1]
-    split = None
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "eE":
-            split = pos
-            break
-    re_text, im_text = ("0", body) if split is None else (body[:split], body[split:])
-    if im_text in ("", "+"):
-        im_text = "1"
-    elif im_text == "-":
-        im_text = "-1"
+    # complex() would also take 'j', 'J' and parentheses; the CLI does not.
+    if "j" in text or "J" in text or "(" in text:
+        raise UsageError(f"bad coefficient {term!r}")
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
-        return ComplexScalar(float(re_text), float(im_text))
+        value = complex(text)
     except ValueError:
         raise UsageError(f"bad coefficient {term!r}") from None
+    return ComplexScalar(value.real, value.imag)
 
 
 def parse_inline_coeffs(text: str) -> Polynomial:
@@ -131,14 +121,12 @@ def load_polynomial(args) -> Polynomial:
 
 
 def _config(args) -> SolverConfig:
-    """The solver settings; a flag left out keeps its default, and a value
-    that ``SolverConfig`` rejects is a usage error."""
-    flags = {
-        "residual_tol": getattr(args, "tol", None),
-        "max_outer": getattr(args, "max_outer", None),
-    }
+    """The solver settings from ``--tol``; left out, it keeps its default,
+    and a value that ``SolverConfig`` rejects is a usage error."""
+    if args.tol is None:
+        return DEFAULT_CONFIG
     try:
-        return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
+        return SolverConfig(residual_tol=args.tol)
     except ValueError as err:
         raise UsageError(str(err)) from None
 
@@ -223,13 +211,11 @@ def cmd_check_norms(args) -> int:
 
 
 def cmd_nth_root(args) -> int:
-    if args.n < 2:
-        raise UsageError("n must be >= 2")
-    if not 0 < args.c < float("inf"):
-        raise UsageError("c must be positive and finite")
     config = _config(args)
     try:
         value = positive_nth_root(args.c, args.n, config)
+    except ValueError as err:  # n or c out of range
+        raise UsageError(str(err)) from None
     except (SolveError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
@@ -293,9 +279,8 @@ def _add_poly_inputs(sub) -> None:
 
 
 def _add_config_flags(sub) -> None:
-    tol, rounds = DEFAULT_CONFIG.residual_tol, DEFAULT_CONFIG.max_outer
+    tol = DEFAULT_CONFIG.residual_tol
     sub.add_argument("--tol", type=float, help=f"residual tolerance (default {tol})")
-    sub.add_argument("--max-outer", type=int, help=f"descent round limit (default {rounds})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     nroot = commands.add_parser("nth-root", help="positive real n-th root of c")
     nroot.add_argument("c", type=float, help="positive real radicand")
     nroot.add_argument("n", type=int, help="root order (integer >= 2)")
-    nroot.add_argument(
-        "--tol", type=float, help=f"residual tolerance (default {DEFAULT_CONFIG.residual_tol})"
-    )
+    _add_config_flags(nroot)
     nroot.set_defaults(handler=cmd_nth_root)
 
     trace = commands.add_parser("trace", help="run one descent and export its CSV trace")

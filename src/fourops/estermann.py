@@ -238,38 +238,33 @@ def candidate_set(k: int) -> tuple[DirectionCandidate, ...]:
 
 
 @lru_cache(maxsize=None)
-def _scored_candidates(k: int, float_mode: bool, native: type) -> tuple:
+def _scored_candidates(k: int, float_mode: bool) -> tuple:
     """(candidate, zeta, zeta^k, one_norm(zeta^k)) for each candidate of
-    order k, with float parts in float mode, and zeta and zeta^k in the
-    value type ``native`` (builtin complex or ComplexScalar)."""
+    order k.  In float mode the candidates are rounded to float and zeta
+    and zeta^k are builtin complex; otherwise they stay exact."""
     candidates = candidate_set(k)
-    if float_mode:
-        candidates = tuple(c.to_float() for c in candidates)
-    return tuple(
-        (
-            c,
-            native(c.zeta.re, c.zeta.im),
-            native(c.zeta_pow_k.re, c.zeta_pow_k.im),
-            c.zeta_pow_k.one_norm(),
-        )
-        for c in candidates
-    )
+    if not float_mode:
+        return tuple((c, c.zeta, c.zeta_pow_k, c.zeta_pow_k.one_norm()) for c in candidates)
+    scored = []
+    for c in map(DirectionCandidate.to_float, candidates):
+        zeta, zk = c.zeta, c.zeta_pow_k
+        scored.append((c, complex(zeta.re, zeta.im), complex(zk.re, zk.im), zk.one_norm()))
+    return tuple(scored)
 
 
 def steepest_candidate(alpha, k: int):
-    """``pick_descent_direction`` for alpha of either value type, builtin
-    complex or ComplexScalar.  Returns (candidate, zeta in alpha's type,
-    Re[alpha * zeta^k]).  Float mode, with the candidates rounded to float,
-    is chosen by alpha's parts."""
+    """``pick_descent_direction`` for alpha of the kernels' value types:
+    builtin complex (float mode, among the candidates rounded to float) or
+    an exact ComplexScalar.  Returns (candidate, zeta in alpha's type,
+    Re[alpha * zeta^k])."""
     re, im = alpha.real, alpha.imag
     if re == 0 and im == 0:
         raise ValueError("alpha must be nonzero (the point is already a root)")
-    float_mode = isinstance(re, float) or isinstance(im, float)
     alpha_norm = abs(re) + abs(im)
     best = None
     best_ratio = None
     best_num = None
-    for candidate, zeta, zk, zk_norm in _scored_candidates(k, float_mode, type(alpha)):
+    for candidate, zeta, zk, zk_norm in _scored_candidates(k, type(alpha) is complex):
         num = re * zk.real - im * zk.imag  # Re[alpha * zeta^k]
         ratio = num / (alpha_norm * zk_norm)
         if best_ratio is None or ratio < best_ratio:
@@ -288,7 +283,10 @@ def pick_descent_direction(alpha: ComplexScalar, k: int) -> DirectionCandidate:
 
     Normalizing by the candidate's own one_norm(zeta^k) keeps the unit
     directions and the longer quadrant directions comparable.  Ties keep
-    the earliest candidate in enumeration order.  A float alpha picks
-    among the candidates rounded to float.
+    the earliest candidate in enumeration order.  An alpha with a float
+    part is rounded to builtin complex and picks among the candidates
+    rounded to float.
     """
+    if not alpha.is_exact():
+        alpha = complex(alpha.re, alpha.im)
     return steepest_candidate(alpha, k)[0]

@@ -9,11 +9,14 @@ coefficients at the high end are trimmed.
 
 Kernels.  Horner evaluation, the objective and the Taylor shift are
 module functions over one value type: builtin ``complex`` (over the
-cached ``complex_coeffs``) or ``ComplexScalar``.  The methods pick it per
-call with ``native`` (``complex`` when both parts of the point are
-float), the solver once per descent.  They use + and x only, and read
-values through ``real``, ``imag`` and ``conjugate()``, which both types
-have.  CPython computes complex + and x with the same IEEE expressions as
+cached ``complex_coeffs``) or ``ComplexScalar``.  One rule picks it,
+``Polynomial.kernel_args``: ``ComplexScalar`` when both the polynomial
+and the point are exact (and at degree 0), else ``complex``, so a float
+polynomial at a point with int parts runs on floats.  The methods apply
+the rule per call, the solver once per descent and once per start scan.
+The kernels use + and x only, and read values through ``real``,
+``imag`` and ``conjugate()``, which both types have.  CPython computes
+complex + and x with the same IEEE expressions as
 ``ComplexScalar.__add__`` / ``__mul__``, and converting an ``int`` or
 ``Fraction`` part to ``float`` rounds exactly as Python's mixed
 arithmetic does, so both types give the same bits.  No complex division
@@ -156,25 +159,28 @@ class Polynomial:
             object.__setattr__(self, "_complex", coeffs)
         return coeffs
 
-    def native(self, z: ComplexScalar) -> tuple[tuple, complex | ComplexScalar]:
-        """The coefficients and z in the kernels' value type: builtin
-        ``complex`` when both parts of z are ``float`` and the degree is at
-        least 1, else the ``ComplexScalar`` values themselves (so exact
-        points stay exact and degree 0 keeps its coefficient's parts)."""
-        if len(self.coeffs) > 1 and isinstance(z.re, float) and isinstance(z.im, float):
-            return self.complex_coeffs(), complex(z.re, z.im)
-        return self.coeffs, z
+    def kernel_args(self, z: ComplexScalar) -> tuple[tuple, complex | ComplexScalar, bool]:
+        """The kernels' coefficients, z in their value type, and whether the
+        arithmetic is exact.  Exact when both the polynomial and z are
+        exact: the ``ComplexScalar`` coefficients and z itself.  Otherwise
+        the cached builtin ``complex`` coefficients and ``complex(z.re,
+        z.im)``, except at degree 0, where the constant keeps its own
+        coefficient."""
+        exact = z.is_exact() and self.is_exact()
+        if exact or len(self.coeffs) == 1:
+            return self.coeffs, z, exact
+        return self.complex_coeffs(), complex(z.re, z.im), False
 
     def evaluate(self, z: ComplexScalar) -> ComplexScalar:
         """Horner evaluation from the leading coefficient down."""
-        coeffs, w = self.native(z)
+        coeffs, w, _ = self.kernel_args(z)
         value = horner(coeffs, w)
         return ComplexScalar(value.real, value.imag)
 
     def objective(self, z: ComplexScalar):
         """f(z) = P(z) * conj(P(z)), a real nonnegative scalar (see
         ``square_modulus``)."""
-        coeffs, w = self.native(z)
+        coeffs, w, _ = self.kernel_args(z)
         return square_modulus(coeffs, w)
 
     # -- Taylor shift -------------------------------------------------------------
@@ -192,10 +198,9 @@ class Polynomial:
         n = self.degree
         if n < 1:
             raise ValueError("taylor_shift requires degree >= 1")
-        coeffs, w = self.native(z0)
+        coeffs, w, exact = self.kernel_args(z0)
         b = shifted(coeffs, w)
-        norms = shift_norms(b, self.coeffs[n].one_norm())
-        order = shift_order(norms, self.is_exact() and z0.is_exact())
+        order = shift_order(shift_norms(b), exact)
         values = [ComplexScalar(v.real, v.imag) for v in b[:n]]
         values.append(self.coeffs[n])
         return ShiftDecomposition(values[0], order, Polynomial(tuple(values[order:])))
@@ -347,14 +352,9 @@ def shifted(coeffs, z) -> list:
     return b
 
 
-def shift_norms(b, lead_norm) -> list:
-    """one_norm of each shifted coefficient.  The leading one is passed in,
-    so it is read from the polynomial's own coefficient, whose parts may be
-    int or Fraction (as in a monic ``from_roots`` polynomial), whatever
-    type the kernel ran on."""
-    norms = [abs(v.real) + abs(v.imag) for v in b[:-1]]
-    norms.append(lead_norm)
-    return norms
+def shift_norms(b) -> list:
+    """one_norm of each shifted coefficient."""
+    return [abs(v.real) + abs(v.imag) for v in b]
 
 
 def shift_order(norms, exact: bool) -> int:

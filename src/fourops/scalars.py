@@ -26,13 +26,14 @@ so its results are bit-for-bit reproducible in the float backend.
 
 ``ComplexScalar`` also answers to the spellings of builtin ``complex``
 (``real``, ``imag``, ``conjugate()``), so the kernels in ``poly`` and the
-solver's descent round are written once and run on either type: on
-builtin ``complex`` for float points, using + and x only.  CPython
-evaluates those with the same IEEE expressions as ``ComplexScalar.__add__``
-and ``__mul__``, so both types give the same bits.  The kernels never
-divide complex values (CPython's complex division is Smith's method,
-which rounds differently from the formula above) and never take ``abs()``
-of one, which is a square root.
+solver's descent round are written once and run on either type, using
++ and x only: on ``ComplexScalar`` when both the polynomial and the point
+are exact, else on builtin ``complex`` (``Polynomial.kernel_args``).
+CPython evaluates those with the same IEEE expressions as
+``ComplexScalar.__add__`` and ``__mul__``, so both types give the same
+bits.  The kernels never divide complex values (CPython's complex
+division is Smith's method, which rounds differently from the formula
+above) and never take ``abs()`` of one, which is a square root.
 """
 
 from __future__ import annotations

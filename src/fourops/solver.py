@@ -38,21 +38,22 @@ approximates; rational step arithmetic squares coefficient sizes every
 iteration, so exact mode is gated to low degree and few iterations.
 
 ``descend_to_root`` settles each descent's arithmetic and limits once, at
-entry (see ``SolverConfig`` for the limits).  The round is written once:
-on ``ComplexScalar`` when both the polynomial and the start are exact,
-else on builtin ``complex``, with any int or Fraction part of the start
-rounded to float first.  The shift, the order, alpha, the direction, the
-bound M and every line-search trial stay in that type, through the
-kernels of ``poly`` and ``estermann.steepest_candidate``; only the
-``DescentStep`` and the accepted point are built as ``ComplexScalar``
-(the round returns the trial point in its own type).  CPython computes complex
-+ and x with the same IEEE expressions as ``ComplexScalar``, so both
-types take the same iterates bit for bit.  A trial point is built from
-its parts, z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
+entry (see ``SolverConfig`` for the limits).  The round is written once,
+on the value type that ``Polynomial.kernel_args`` picks for the start:
+``ComplexScalar`` when both the polynomial and the start are exact, else
+builtin ``complex``, with any int or Fraction part of the start rounded
+to float.  The shift, the order, alpha, the direction, the bound M and
+every line-search trial stay in that type, through the kernels of
+``poly`` and ``estermann.steepest_candidate``; only the ``DescentStep``
+and the accepted point are built as ``ComplexScalar`` (the round returns
+the trial point in its own type).  CPython computes complex + and x with
+the same IEEE expressions as ``ComplexScalar``, so both types take the
+same iterates bit for bit.  A trial point is built from its parts,
+z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
 multiplies by x+0j, which changes signed zeros and inf*0.  The public
 ``taylor_shift``, ``pick_descent_direction`` and
 ``certified_decrease_bound`` wrap the same kernels at the API boundary.
-The start scan (``_best_start``) evaluates its candidates the same way.
+The start scan (``_best_start``) takes its value type from the same rule.
 
 ``find_all_roots`` peels roots off by synthetic deflation, re-polishing
 every root against the original polynomial, and ``positive_nth_root``
@@ -93,6 +94,10 @@ __all__ = [
     "positive_nth_root",
 ]
 
+# The most descent rounds per root: a bound on a descent that cannot end,
+# far above what a converging descent takes.
+MAX_OUTER = 10_000
+
 # The most halvings of the step in one line search at one order.
 MAX_BACKTRACKS = 200
 
@@ -109,26 +114,23 @@ POLISH_MAX_OUTER = 5
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
-    """Descent settings: the residual target and ``max_outer``, the most
-    descent rounds per root.  Construction raises ValueError unless
-    residual_tol is finite and > 0 and max_outer is an integer >= 1.
+    """Descent settings: the one setting is the residual target
+    ``residual_tol`` (see the module docstring for the stop test).
+    Construction raises ValueError unless it is finite and > 0.
 
-    The other limits are part of the algorithm: a polish descent always
-    gets POLISH_MAX_OUTER = 5 rounds, an exact descent at most
-    EXACT_MAX_OUTER = 64, and a line search shrinks the step (1, 1/2, ...)
-    at most MAX_BACKTRACKS = 200 times per order in floats, where running
-    out moves the round to the next order, and EXACT_MAX_BACKTRACKS = 64
-    times exact."""
+    The limits are part of the algorithm: a descent gets at most
+    MAX_OUTER = 10_000 rounds, a polish descent POLISH_MAX_OUTER = 5 and
+    an exact descent EXACT_MAX_OUTER = 64, and a line search shrinks the
+    step (1, 1/2, ...) at most MAX_BACKTRACKS = 200 times per order in
+    floats, where running out moves the round to the next order, and
+    EXACT_MAX_BACKTRACKS = 64 times exact."""
 
     residual_tol: float = 1e-9
-    max_outer: int = 10_000
 
     def __post_init__(self):
         # NaN fails every comparison, so it is rejected too.
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
-        if not isinstance(self.max_outer, int) or self.max_outer < 1:
-            raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -258,16 +260,16 @@ def descend_to_root(
     """Run descent from z_start until the residual target is met.
 
     Returns (root, trace).  Raises ConvergenceError when the round limit
-    (POLISH_MAX_OUTER when phase is "polish", else config.max_outer, at
-    most EXACT_MAX_OUTER when exact) or the shrink limit of a round at
-    every usable order runs out first; the error carries the point reached
-    and the partial trace.
+    (POLISH_MAX_OUTER when phase is "polish", else MAX_OUTER, at most
+    EXACT_MAX_OUTER when exact) or the shrink limit of a round at every
+    usable order runs out first; the error carries the point reached and
+    the partial trace.
     """
     if poly.degree < 1:
         raise ValueError("descend_to_root requires degree >= 1")
-    exact = poly.is_exact() and z_start.is_exact()
+    coeffs, w, exact = poly.kernel_args(z_start)
     tol = config.residual_tol
-    max_outer = POLISH_MAX_OUTER if phase == "polish" else config.max_outer
+    max_outer = POLISH_MAX_OUTER if phase == "polish" else MAX_OUTER
     max_backtracks = MAX_BACKTRACKS
     if exact:
         if poly.degree > EXACT_MAX_DEGREE:
@@ -277,14 +279,12 @@ def descend_to_root(
         tol = Fraction(tol)
         max_outer = min(max_outer, EXACT_MAX_OUTER)
         max_backtracks = EXACT_MAX_BACKTRACKS
-    coeffs, make = _arithmetic(poly, exact)
     scale = poly.coeff_one_norm()
     stop = tol * tol * scale * scale
     # Past the float range, test f / (tol*scale)^2 <= 1 instead.
     tol_scale = tol * scale if stop == math.inf else None
 
-    lead_norm = poly.coeffs[-1].one_norm()
-    z, w = z_start, make(z_start.re, z_start.im)
+    z = z_start
     f_z = poly.objective(z_start)
     steps: list[DescentStep] = []
     failure = None
@@ -292,7 +292,7 @@ def descend_to_root(
         if len(steps) >= max_outer:
             failure = f"no convergence within {max_outer} descent rounds"
             break
-        accepted = _descent_round(coeffs, z, w, f_z, lead_norm, exact, max_backtracks)
+        accepted = _descent_round(coeffs, z, w, f_z, exact, max_backtracks)
         if accepted is None:
             failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
             break
@@ -305,17 +305,8 @@ def descend_to_root(
     return z, trace
 
 
-def _arithmetic(poly: Polynomial, exact: bool) -> tuple[tuple, type]:
-    """The kernels' coefficients and point type: the polynomial's own
-    coefficients and ``ComplexScalar`` when exact, else its cached builtin
-    ``complex`` coefficients and ``complex``."""
-    if exact:
-        return poly.coeffs, ComplexScalar
-    return poly.complex_coeffs(), complex
-
-
 def _descent_round(
-    coeffs: tuple, z: ComplexScalar, w, f_z, lead_norm, exact: bool, max_backtracks: int
+    coeffs: tuple, z: ComplexScalar, w, f_z, exact: bool, max_backtracks: int
 ) -> tuple[DescentStep, complex | ComplexScalar, Scalar] | None:
     """One descent round at z (see the module docstring), on the kernels'
     coefficients and w, which is z in their value type.  Returns the step,
@@ -323,7 +314,7 @@ def _descent_round(
     line search exhausts its shrinks at every usable order."""
     make = type(w)
     b = shifted(coeffs, w)
-    norms = shift_norms(b, lead_norm)
+    norms = shift_norms(b)
     order = shift_order(norms, exact)
     z_re, z_im = w.real, w.imag
     # The step schedule r = 1, 1/2, 1/4, ... in the backend's number type.
@@ -371,14 +362,13 @@ def _best_start(poly: Polynomial) -> ComplexScalar:
     """Of 0 and the axis and corner points at the certified radius and four
     halvings of it, in a fixed enumeration order, the point with the
     smallest objective (the first on ties)."""
-    exact = poly.is_exact()
+    coeffs, origin, exact = poly.kernel_args(ZERO)
+    make, o = type(origin), origin.real
     radius = poly.growth_radius()
-    o = 0 if exact else 0.0
     parts = [(o, o)]
     for m in range(5):
         s = Fraction(radius, 2**m) if exact else radius / float(2**m)
         parts += [(s, o), (-s, o), (o, s), (o, -s), (s, s), (s, -s), (-s, s), (-s, -s)]
-    coeffs, make = _arithmetic(poly, exact)
     best = None
     best_f = None
     for re, im in parts:

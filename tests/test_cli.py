@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import fourops
-from fourops.cli import TRACE_FIELDS, main
+from fourops import solver
+from fourops.cli import TRACE_FIELDS, UsageError, _parse_term, main
+from fourops.scalars import ComplexScalar
 from fourops.solver import positive_nth_root
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,73 @@ def test_solve_rejects_bad_inputs(capsys, tmp_path):
     capsys.readouterr()
 
 
+def _hand_written_parse_term(term: str) -> ComplexScalar:
+    """The CLI's coefficient parser before it used complex(), kept as the
+    reference for the accepted terms and the parts they give."""
+    text = term.replace(" ", "")
+    if not text:
+        raise UsageError("empty coefficient term")
+    if not text.endswith("i"):
+        try:
+            return ComplexScalar(float(text), 0.0)
+        except ValueError:
+            raise UsageError(f"bad coefficient {term!r}") from None
+    body = text[:-1]
+    split = None
+    for pos in range(len(body) - 1, 0, -1):
+        if body[pos] in "+-" and body[pos - 1] not in "eE":
+            split = pos
+            break
+    re_text, im_text = ("0", body) if split is None else (body[:split], body[split:])
+    if im_text in ("", "+"):
+        im_text = "1"
+    elif im_text == "-":
+        im_text = "-1"
+    try:
+        return ComplexScalar(float(re_text), float(im_text))
+    except ValueError:
+        raise UsageError(f"bad coefficient {term!r}") from None
+
+
+def _parsed(parse, term):
+    """repr of the parts a parser gives, or None when it rejects the term."""
+    try:
+        z = parse(term)
+    except UsageError:
+        return None
+    return repr((z.re, z.im))
+
+
+def test_parse_term_matches_the_hand_written_parser():
+    hand = [
+        *("infi", "-0i", "1e+5i", "+i", "-i", "i", "1_000i", "1+i", "2-3.5e-2i", "nani"),
+        *("1e+i", "1+-2i", "1j", "2J", "(1+2i)", "(1)", "1i+2", "0x1", "", " ", "1 + 2 i"),
+    ]
+    rng = random.Random(14)
+    alphabet = "0123456789.eE+-i _nfatyjJ()"
+    tokens = ["inf", "nan", "infinity", "e", "+", "-", "i", ".", "_", " ", *"0123456789"]
+    terms = list(hand)
+    for n in range(20_000):
+        if n % 2:
+            terms.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))))
+        else:
+            terms.append("".join(rng.choice(tokens) for _ in range(rng.randint(1, 6))))
+    accepted = 0
+    for term in terms:
+        expected = _parsed(_hand_written_parse_term, term)
+        assert _parsed(_parse_term, term) == expected, term
+        accepted += expected is not None
+    assert accepted > 2_000
+
+
+def test_parse_term_ignores_every_kind_of_whitespace():
+    # The hand-written parser dropped spaces anywhere but tabs and newlines
+    # only at some places; now all whitespace is dropped alike.
+    for term in ["1\t+2i", "\t-82.0i", "2\ti", "1\n2", "\ti", "1+\t2i"]:
+        assert _parsed(_parse_term, term) == _parsed(_parse_term, "".join(term.split()))
+        assert _parsed(_parse_term, term) is not None
+
+
 @pytest.mark.parametrize("coeffs", ["nan,1", "inf,1", "1,-inf", "1,2+nani"])
 def test_solve_rejects_non_finite_inline_coefficients(capsys, coeffs):
     assert main(["solve", f"--coeffs={coeffs}"]) == 2
@@ -150,8 +220,9 @@ def test_trace_objective_overflow_exits_3(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solve_nonconvergence_exit_code(capsys):
-    assert main(["solve", "--coeffs", "2,0,1", "--max-outer", "1"]) == 3
+def test_solve_nonconvergence_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_OUTER", 1)
+    assert main(["solve", "--coeffs", "2,0,1"]) == 3
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "iterations:" in captured.out  # partial report still printed
@@ -259,12 +330,10 @@ def test_trace_at_exact_sample_root_writes_header_only(capsys, tmp_path):
     assert lines == [",".join(TRACE_FIELDS)]
 
 
-def test_trace_partial_on_nonconvergence(capsys, tmp_path):
+def test_trace_partial_on_nonconvergence(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_OUTER", 1)
     path = tmp_path / "partial.csv"
-    assert (
-        main(["trace", "--coeffs", "2,0,1", "--max-outer", "1", "--csv", str(path)])
-        == 3
-    )
+    assert main(["trace", "--coeffs", "2,0,1", "--csv", str(path)]) == 3
     capsys.readouterr()
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_FIELDS)
@@ -288,8 +357,8 @@ def test_trace_requires_csv_flag(capsys):
         ["--tol", "nan"],
         ["--tol", "0"],
         ["--tol=-1e-9"],
-        ["--max-outer", "0"],
-        ["--max-outer", "-1"],
+        ["--tol=-inf"],
+        ["--tol", "1e-400"],  # underflows to 0
     ],
 )
 def test_solve_and_trace_reject_bad_solver_flags(capsys, tmp_path, flags):
@@ -311,11 +380,17 @@ def test_nth_root_rejects_bad_tol(capsys, tol):
     assert captured.err.startswith("error: ")
 
 
-def test_shrink_limit_is_not_a_flag(capsys):
-    assert main(["solve", "--coeffs=2,0,1", "--max-backtracks", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --max-backtracks" in captured.err
+def test_shrink_limit_is_not_a_flag(capsys, tmp_path):
+    # Neither limit is a flag: the round limit is fixed too.
+    path = tmp_path / "steps.csv"
+    for flag in ("--max-backtracks", "--max-outer"):
+        assert main(["solve", "--coeffs=2,0,1", flag, "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert main(["trace", "--coeffs=2,0,1", "--csv", str(path), flag, "3"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not path.exists()
 
 
 def test_trace_to_unwritable_path_is_a_usage_error(capsys, tmp_path):

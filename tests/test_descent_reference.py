@@ -11,11 +11,11 @@ formulas on builtin ``complex`` for float points; these tests pin that the
 iterates do not move.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from fourops import solver
 from fourops.estermann import candidate_set
 from fourops.poly import REL_ZERO_EPS, NonFiniteObjectiveError, Polynomial
 from fourops.sampling import SplitMix64, random_float_complex
@@ -105,7 +105,8 @@ def ref_bound(base, quotient, zeta, k):
 def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=None):
     exact = p.is_exact() and z_start.is_exact()
     step_init, shrink, tol = 1.0, 0.5, config.residual_tol
-    max_outer, max_backtracks = config.max_outer, 200
+    max_outer = POLISH_MAX_OUTER if phase == "polish" else solver.MAX_OUTER
+    max_backtracks = 200
     if exact:
         step_init, shrink, tol = Fraction(1), Fraction(1, 2), Fraction(tol)
         max_outer = min(max_outer, EXACT_MAX_OUTER)
@@ -174,9 +175,7 @@ def ref_find_all_roots(p, config, escalations):
         root, trace = ref_descend(work, ref_best_start(work), config, escalations=escalations)
         traces.append(trace)
         try:
-            root, polish = ref_descend(
-                p, root, replace(config, max_outer=POLISH_MAX_OUTER), "polish", escalations
-            )
+            root, polish = ref_descend(p, root, config, "polish", escalations)
         except ConvergenceError as err:
             root, polish = err.best_z, err.trace
         if polish.steps:
@@ -208,7 +207,10 @@ def seeded_float_polys():
         yield Polynomial.from_roots(roots), roots
 
 
-SHORT = SolverConfig(max_outer=150)
+@pytest.fixture
+def short(monkeypatch):
+    """Descents stopped after 150 rounds, in the solver and the reference."""
+    monkeypatch.setattr(solver, "MAX_OUTER", 150)
 
 
 def test_best_start_matches_reference():
@@ -218,7 +220,7 @@ def test_best_start_matches_reference():
     assert outcome(_best_start, exact) == outcome(ref_best_start, exact)
 
 
-def test_descent_from_best_start_and_fixed_points_matches_reference():
+def test_descent_from_best_start_and_fixed_points_matches_reference(short):
     started = 0
     for p, _ in seeded_float_polys():
         starts = [C(1.5, -0.5), C(0.0, 0.0), C(-0.0, 3.0)]
@@ -228,14 +230,12 @@ def test_descent_from_best_start_and_fixed_points_matches_reference():
         except NonFiniteObjectiveError:
             pass
         for start in starts:
-            assert outcome(descend_to_root, p, start, SHORT) == outcome(
-                ref_descend, p, start, SHORT
-            )
+            assert outcome(descend_to_root, p, start) == outcome(ref_descend, p, start)
     assert started >= 10
 
 
 def test_polish_phase_matches_reference():
-    config = SolverConfig(max_outer=POLISH_MAX_OUTER, residual_tol=1e-14)
+    config = SolverConfig(residual_tol=1e-14)
     rng = SplitMix64(62)
     compared = 0
     for p, roots in seeded_float_polys():
@@ -259,13 +259,12 @@ def test_fifth_roots_escalation_matches_reference():
     assert repr(result.roots) == repr(tuple(sorted(roots, key=lambda z: (z.re, z.im))))
 
 
-def test_float_polynomial_at_int_point_matches_reference():
-    # The first round runs on ComplexScalar (int parts), the rest on complex.
+def test_float_polynomial_at_int_point_matches_reference(short):
+    # The reference runs its first round on ComplexScalar (int parts) and the
+    # solver on complex: the bits agree.
     for p, _ in list(seeded_float_polys())[:12]:
         for start in (C(0, 0), C(1, -1), ZERO):
-            assert outcome(descend_to_root, p, start, SHORT) == outcome(
-                ref_descend, p, start, SHORT
-            )
+            assert outcome(descend_to_root, p, start) == outcome(ref_descend, p, start)
 
 
 def test_fraction_polynomial_matches_reference():

@@ -193,6 +193,32 @@ def test_float_kernels_keep_degree_zero_and_exact_points():
     assert bits(p.evaluate(C(2.0, 0.0))) == bits(C(5.0, 0.0))
 
 
+def test_float_polynomial_at_exact_point_runs_on_floats():
+    # Only an exact polynomial at an exact point stays exact: a float
+    # polynomial gives the same bits at a point with int or Fraction parts
+    # as at that point rounded to float.
+    rng = SplitMix64(28)
+    polys = [Polynomial.from_scalars([0, 1.5, 1])]
+    polys += [float_roots_poly(rng, degree)[0] for degree in (2, 5, 9)]
+    points = [
+        (C(1, 0), C(1.0, 0.0)),
+        (C(0, 0), C(0.0, 0.0)),
+        (C(-2, 3), C(-2.0, 3.0)),
+        (C(Fraction(1, 2), Fraction(-3, 4)), C(0.5, -0.75)),
+        (C(Fraction(1, 3), 1), C(1 / 3, 1.0)),
+    ]
+    for p in polys:
+        for exact_z, float_z in points:
+            assert bits(p.evaluate(exact_z)) == bits(p.evaluate(float_z))
+            assert repr(p.objective(exact_z)) == repr(p.objective(float_z))
+            a, b = p.taylor_shift(exact_z), p.taylor_shift(float_z)
+            assert (bits(a.base_value), a.order) == (bits(b.base_value), b.order)
+            assert [bits(c) for c in a.quotient.coeffs] == [bits(c) for c in b.quotient.coeffs]
+    # P(1 + h) = 2.5 + h (3.5 + h): every computed part is a float.
+    shift = polys[0].taylor_shift(C(1, 0))
+    assert bits(shift.quotient.coeffs[0]) == ("3.5", "0.0")
+
+
 # ---------------------------------------------------------------------------
 # recentering
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fourops import solver
 from fourops.estermann import candidate_set, pick_descent_direction
 from fourops.poly import NonFiniteObjectiveError, Polynomial
 from fourops.sampling import SplitMix64, random_box_float
@@ -103,10 +104,11 @@ def test_descend_certificate_on_backtracked_steps():
     assert checked > 0
 
 
-def test_descend_max_outer_exhaustion():
+def test_descend_max_outer_exhaustion(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_OUTER", 1)
     poly = P(1.0, 0.0, 1.0)
     with pytest.raises(ConvergenceError) as info:
-        descend_to_root(poly, C(8.0, 0.0), SolverConfig(max_outer=1))
+        descend_to_root(poly, C(8.0, 0.0))
     err = info.value
     assert not err.trace.converged
     assert len(err.trace.steps) <= 1
@@ -227,9 +229,10 @@ def test_find_all_roots_degree_zero_rejected():
         find_all_roots(Polynomial.from_scalars([5.0]))
 
 
-def test_solve_error_carries_partial():
+def test_solve_error_carries_partial(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_OUTER", 1)
     with pytest.raises(SolveError) as info:
-        find_all_roots(P(2.0, 0.0, 1.0), SolverConfig(max_outer=1))
+        find_all_roots(P(2.0, 0.0, 1.0))
     err = info.value
     assert err.partial.roots == ()
     assert isinstance(err.cause, ConvergenceError)
@@ -342,9 +345,6 @@ NAN, INF = float("nan"), float("inf")
         ("residual_tol", -1e-9),
         ("residual_tol", INF),
         ("residual_tol", NAN),
-        ("max_outer", 0),
-        ("max_outer", -1),
-        ("max_outer", 2.5),
     ],
 )
 def test_solver_config_rejects_out_of_range(field, bad):
@@ -358,12 +358,16 @@ def test_solver_config_has_no_step_schedule_setting():
 
 
 def test_solver_config_has_no_shrink_limit_setting():
+    # Neither limit is a setting: the round limit is the constant MAX_OUTER.
     with pytest.raises(TypeError):
         SolverConfig(max_backtracks=0)
+    with pytest.raises(TypeError):
+        SolverConfig(max_outer=1)
 
 
-def test_solver_config_accepts_the_edges():
-    config = SolverConfig(residual_tol=1e-300, max_outer=1)
+def test_solver_config_accepts_the_edges(monkeypatch):
+    config = SolverConfig(residual_tol=1e-300)
     # The smallest limits still run: one round per root.
+    monkeypatch.setattr(solver, "MAX_OUTER", 1)
     with pytest.raises(SolveError):
         find_all_roots(P(2.0, 0.0, 1.0), config)
