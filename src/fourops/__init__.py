@@ -6,8 +6,8 @@ come from exact powers of (1 + i/k)^2, and every analytic ingredient
 (norm inequalities, direction signs, step certificates) can be checked
 in exact rational arithmetic.  The float backend shares the same
 algorithm and is what the practical solver runs on; its descent round and
-start scan run on builtin ``complex`` (+ and x only) with the same bits as
-``ComplexScalar``.
+polish run on builtin ``complex`` (+ and x, and in the Newton step a
+division by the real |P'(z)|^2) with the same bits as ``ComplexScalar``.
 """
 
 from .scalars import (

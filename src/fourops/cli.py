@@ -39,8 +39,8 @@ from .solver import (
     ConvergenceError,
     SolveError,
     SolverConfig,
-    _best_start,
     descend_to_root,
+    descent_start,
     find_all_roots,
     positive_nth_root,
 )
@@ -57,6 +57,7 @@ TRACE_FIELDS = [
     "im_zeta",
     "r",
     "backtracks",
+    "rule",
 ]
 
 
@@ -228,7 +229,7 @@ def cmd_trace(args) -> int:
     poly = load_polynomial(args)
     code = 0
     try:
-        _, trace = descend_to_root(poly, _best_start(poly), config)
+        _, trace = descend_to_root(poly, descent_start(poly), config)
     except ConvergenceError as err:
         trace = err.trace
         print(f"error: {err}", file=sys.stderr)
@@ -257,6 +258,7 @@ def cmd_trace(args) -> int:
                     repr(step.direction.zeta.im),
                     repr(step.r_accepted),
                     step.backtracks,
+                    step.rule,
                 ]
             )
     print(f"wrote {len(trace.steps)} steps to {args.csv}")

@@ -7,13 +7,14 @@ Coefficients are stored in ascending order (constant term first).  The
 degree-n coefficient is nonzero after construction; literal zero
 coefficients at the high end are trimmed.
 
-Kernels.  Horner evaluation, the objective and the Taylor shift are
-module functions over one value type: builtin ``complex`` (over the
-cached ``complex_coeffs``) or ``ComplexScalar``.  One rule picks it,
+Kernels.  Horner evaluation (also with P', ``horner_slope``), the
+objective and the Taylor shift are module functions over one value
+type: builtin ``complex`` (over the cached ``complex_coeffs``) or
+``ComplexScalar``.  One rule picks it,
 ``Polynomial.kernel_args``: ``ComplexScalar`` when both the polynomial
 and the point are exact (and at degree 0), else ``complex``, so a float
 polynomial at a point with int parts runs on floats.  The methods apply
-the rule per call, the solver once per descent and once per start scan.
+the rule per call, the solver once per descent.
 The kernels use + and x only, and read values through ``real``,
 ``imag`` and ``conjugate()``, which both types have.  CPython computes
 complex + and x with the same IEEE expressions as
@@ -322,16 +323,29 @@ def horner(coeffs, z):
     return acc
 
 
+def horner_slope(coeffs, z):
+    """(P(z), P'(z)) in one two-row Horner pass, for degree >= 1."""
+    slope = value = coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        value = value * z + c
+        slope = slope * z + value
+    return value * z + coeffs[0], slope
+
+
 def square_modulus(coeffs, z):
-    """f(z) = P(z) * conj(P(z)) from the parts x, y of P(z).
+    """f(z) = P(z) * conj(P(z)), by ``value_square_modulus`` of P(z)."""
+    return value_square_modulus(horner(coeffs, z), z)
+
+
+def value_square_modulus(w, z):
+    """w * conj(w) for the value w = P(z), from the parts x, y of w.
 
     The product's imaginary part x*(-y) + y*x cancels identically for
-    finite P(z) (also in floats, where both contributions round the same
-    way).  When it does not, P(z) or x*y left the float range, and
+    finite w (also in floats, where both contributions round the same
+    way).  When it does not, w or x*y left the float range, and
     NonFiniteObjectiveError is raised rather than the part dropped.  When
-    P(z) lies on an axis and its square overflows, f = inf is returned.
+    w lies on an axis and its square overflows, f = inf is returned.
     """
-    w = horner(coeffs, z)
     x, y = w.real, w.imag
     if x * -y + y * x != 0:
         point = ComplexScalar(z.real, z.imag)

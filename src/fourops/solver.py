@@ -3,6 +3,14 @@
 One descent round at a point z:
 
 1. Shift: P(z + h) = P(z) + h^k Q(h) with Q(0) != 0 (``taylor_shift``).
+   Float backend, at k = 1 only: first try the Newton step
+   zeta = -P(z) conj(Q(0)) / |Q(0)|^2 at r = 1 (the one division is by
+   a real number) and accept it when f(z + zeta) <= f(z) / 2.  With
+   alpha as below, Re[alpha * zeta] = -f(z), so that is the sufficient
+   decrease of step 3 at r = 1, and the per-step certificate, which is
+   about r < 1, has nothing to check.  Newton is skipped when |Q(0)|^2 is
+   0 or not finite, or when the trial leaves the float range, and any
+   rejected Newton trial falls back to steps 2 and 3.
 2. Steer: alpha = conj(P(z)) * Q(0); pick the candidate direction zeta
    with the most negative normalized Re[alpha * zeta^k]
    (``pick_descent_direction``; such a direction always exists for
@@ -46,24 +54,32 @@ to float.  The shift, the order, alpha, the direction, the bound M and
 every line-search trial stay in that type, through the kernels of
 ``poly`` and ``estermann.steepest_candidate``; only the ``DescentStep``
 and the accepted point are built as ``ComplexScalar`` (the round returns
-the trial point in its own type).  CPython computes complex + and x with
+the trial point in its own type; the Newton step divides float parts by
+the real |Q(0)|^2).  CPython computes complex + and x with
 the same IEEE expressions as ``ComplexScalar``, so both types take the
 same iterates bit for bit.  A trial point is built from its parts,
 z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
 multiplies by x+0j, which changes signed zeros and inf*0.  The public
 ``taylor_shift``, ``pick_descent_direction`` and
 ``certified_decrease_bound`` wrap the same kernels at the API boundary.
-The start scan (``_best_start``) takes its value type from the same rule.
 
-``find_all_roots`` peels roots off by synthetic deflation, re-polishing
-every root against the original polynomial, and ``positive_nth_root``
+``descent_start`` picks where a descent begins: 0.0 for a float
+polynomial, and for an exact one the exact start scan ``_best_start``.
+
+``find_all_roots`` peels roots off by synthetic deflation and polishes
+every root against the original polynomial.  The float polish is Newton
+steps only (P and P' from one two-row Horner pass), taken while each
+lowers f, for at most POLISH_MAX_OUTER steps; the exact polish is up to
+POLISH_MAX_OUTER descent rounds.  A root whose polish ends above the
+residual target on the original polynomial fails the solve with
+SolveError, so every returned root meets it.  ``positive_nth_root``
 reduces real n-th roots to a solve of z^n - c.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # The round calls steepest_candidate; pick_descent_direction, its form at the
@@ -73,10 +89,12 @@ from .poly import (
     NonFiniteObjectiveError,
     Polynomial,
     ShiftDecomposition,
+    horner_slope,
     shift_norms,
     shift_order,
     shifted,
     square_modulus,
+    value_square_modulus,
 )
 from .scalars import ComplexScalar, Scalar, ZERO
 
@@ -90,6 +108,7 @@ __all__ = [
     "SolveError",
     "certified_decrease_bound",
     "descend_to_root",
+    "descent_start",
     "find_all_roots",
     "positive_nth_root",
 ]
@@ -107,23 +126,28 @@ EXACT_MAX_DEGREE = 4
 EXACT_MAX_OUTER = 64
 EXACT_MAX_BACKTRACKS = 64
 
-# Extra descent rounds run against the original polynomial after each
+# The most polish steps run against the original polynomial after each
 # deflated solve, to stop deflation error from accumulating.
-POLISH_MAX_OUTER = 5
+POLISH_MAX_OUTER = 20
+
+# Where a float descent starts.
+FLOAT_ORIGIN = ComplexScalar(0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
     """Descent settings: the one setting is the residual target
     ``residual_tol`` (see the module docstring for the stop test).
-    Construction raises ValueError unless it is finite and > 0.
+    Construction raises ValueError unless it is finite and > 0.  Every
+    root that ``find_all_roots`` returns meets the target on the original
+    polynomial, which its polish enforces.
 
     The limits are part of the algorithm: a descent gets at most
-    MAX_OUTER = 10_000 rounds, a polish descent POLISH_MAX_OUTER = 5 and
-    an exact descent EXACT_MAX_OUTER = 64, and a line search shrinks the
-    step (1, 1/2, ...) at most MAX_BACKTRACKS = 200 times per order in
-    floats, where running out moves the round to the next order, and
-    EXACT_MAX_BACKTRACKS = 64 times exact."""
+    MAX_OUTER = 10_000 rounds, a polish POLISH_MAX_OUTER = 20 steps and
+    an exact descent EXACT_MAX_OUTER = 64 rounds, and a line search
+    shrinks the step (1, 1/2, ...) at most MAX_BACKTRACKS = 200 times per
+    order in floats, where running out moves the round to the next order,
+    and EXACT_MAX_BACKTRACKS = 64 times exact."""
 
     residual_tol: float = 1e-9
 
@@ -138,7 +162,15 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True, slots=True)
 class DescentStep:
-    """One accepted step: the state at departure plus the decision taken."""
+    """One accepted step: the state at departure plus the decision taken.
+
+    ``rule`` names how the step was steered: "unit" (a unit candidate, or
+    1 at even k), "quadrant" (an even-k quadrant direction), "escalated"
+    (a candidate at an order past the detected one) or "newton" (the
+    Newton step at r = 1, recorded with k = 1 and direction (zeta, zeta);
+    its ``m_bound`` is None, since the certificate covers r < 1 only).
+    The rule is left out of the repr, which stays a record of the iterates
+    alone."""
 
     z: ComplexScalar
     f_value: Scalar
@@ -147,7 +179,8 @@ class DescentStep:
     direction: DirectionCandidate
     r_accepted: Scalar
     backtracks: int
-    m_bound: Scalar
+    m_bound: Scalar | None
+    rule: str = field(repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,11 +292,15 @@ def descend_to_root(
 ) -> tuple[ComplexScalar, DescentTrace]:
     """Run descent from z_start until the residual target is met.
 
+    In floats, phase "polish" runs Newton steps instead (``_newton_polish``)
+    and then checks the point reached against the residual target.
+
     Returns (root, trace).  Raises ConvergenceError when the round limit
     (POLISH_MAX_OUTER when phase is "polish", else MAX_OUTER, at most
     EXACT_MAX_OUTER when exact) or the shrink limit of a round at every
-    usable order runs out first; the error carries the point reached and
-    the partial trace.
+    usable order runs out first, or when a float polish ends above the
+    residual target; the error carries the point reached and the partial
+    trace.
     """
     if poly.degree < 1:
         raise ValueError("descend_to_root requires degree >= 1")
@@ -284,25 +321,67 @@ def descend_to_root(
     # Past the float range, test f / (tol*scale)^2 <= 1 instead.
     tol_scale = tol * scale if stop == math.inf else None
 
+    def met(f) -> bool:
+        return (f <= stop) if tol_scale is None else (f / tol_scale / tol_scale <= 1)
+
     z = z_start
-    f_z = poly.objective(z_start)
     steps: list[DescentStep] = []
     failure = None
-    while not ((f_z <= stop) if tol_scale is None else (f_z / tol_scale / tol_scale <= 1)):
-        if len(steps) >= max_outer:
-            failure = f"no convergence within {max_outer} descent rounds"
-            break
-        accepted = _descent_round(coeffs, z, w, f_z, exact, max_backtracks)
-        if accepted is None:
-            failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
-            break
-        step, w, f_z = accepted
+    if phase == "polish" and not exact:
+        w, f_z = _newton_polish(coeffs, w, max_outer, steps)
         z = ComplexScalar(w.real, w.imag)
-        steps.append(step)
+        if not met(f_z):
+            failure = f"Newton polish ended above the residual target after {len(steps)} steps"
+    else:
+        f_z = poly.objective(z_start)
+        while not met(f_z):
+            if len(steps) >= max_outer:
+                failure = f"no convergence within {max_outer} descent rounds"
+                break
+            accepted = _descent_round(coeffs, z, w, f_z, exact, max_backtracks)
+            if accepted is None:
+                failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
+                break
+            step, w, f_z = accepted
+            z = ComplexScalar(w.real, w.imag)
+            steps.append(step)
     trace = DescentTrace(z_start, tuple(steps), z, f_z, failure is None, phase)
     if failure is not None:
         raise ConvergenceError(f"{failure} (best f = {f_z})", z, f_z, trace)
     return z, trace
+
+
+def _newton(b0: complex, b1: complex) -> tuple[complex, complex] | None:
+    """(alpha, zeta) for the Newton step zeta = -b0 * conj(b1) / |b1|^2 of
+    P(z + h) = b0 + b1 h + ..., with alpha = conj(b0) * b1, so that
+    Re[alpha * zeta] = -|b0|^2 = -f(z).  The only division is by the real
+    |b1|^2.  None when |b1|^2 is 0 or not finite, or when Re[alpha * zeta]
+    is not negative (it can underflow to 0)."""
+    d = b1.real * b1.real + b1.imag * b1.imag
+    if not 0 < d < math.inf:
+        return None
+    step = b0 * b1.conjugate()
+    zeta = complex(-step.real / d, -step.imag / d)
+    alpha = b0.conjugate() * b1
+    if not alpha.real * zeta.real - alpha.imag * zeta.imag < 0:
+        return None
+    return alpha, zeta
+
+
+def _newton_step(z: ComplexScalar, f_z, alpha: complex, zeta: complex) -> DescentStep:
+    """The record of a Newton step from z (see ``DescentStep``)."""
+    zeta = ComplexScalar(zeta.real, zeta.imag)
+    return DescentStep(
+        z=z,
+        f_value=f_z,
+        order=1,
+        alpha=ComplexScalar(alpha.real, alpha.imag),
+        direction=DirectionCandidate(zeta, zeta),
+        r_accepted=1.0,
+        backtracks=0,
+        m_bound=None,
+        rule="newton",
+    )
 
 
 def _descent_round(
@@ -315,8 +394,21 @@ def _descent_round(
     make = type(w)
     b = shifted(coeffs, w)
     norms = shift_norms(b)
-    order = shift_order(norms, exact)
+    order = detected = shift_order(norms, exact)
     z_re, z_im = w.real, w.imag
+    if order == 1 and not exact:
+        newton = _newton(b[0], b[1])
+        if newton is not None:
+            alpha, zeta = newton
+            trial = make(z_re + zeta.real, z_im + zeta.imag)
+            try:
+                f_trial = square_modulus(coeffs, trial)
+            except NonFiniteObjectiveError:
+                pass
+            else:
+                # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
+                if f_trial < f_z and f_trial <= f_z * 0.5:
+                    return _newton_step(z, f_z, alpha, zeta), trial, f_trial
     # The step schedule r = 1, 1/2, 1/4, ... in the backend's number type.
     first_r, half = (Fraction(1), Fraction(1, 2)) if exact else (1.0, 0.5)
     while True:
@@ -333,6 +425,12 @@ def _descent_round(
             # coefficients stay exact.  The strict part guards against zero
             # steps once r underflows.
             if f_trial < f_z and 2 * (f_z - f_trial) >= r**order * descent_rate:
+                if order != detected:
+                    rule = "escalated"
+                elif order % 2 == 0 and zeta_im != 0:
+                    rule = "quadrant"
+                else:
+                    rule = "unit"
                 step = DescentStep(
                     z=z,
                     f_value=f_z,
@@ -344,6 +442,7 @@ def _descent_round(
                     m_bound=_decrease_bound(
                         norms[0], norms[order:], candidate.zeta.one_norm(), order
                     ),
+                    rule=rule,
                 )
                 return step, trial, f_trial
             r = r * half
@@ -358,35 +457,56 @@ def _descent_round(
             return None
 
 
+def _newton_polish(
+    coeffs: tuple, w: complex, max_steps: int, steps: list
+) -> tuple[complex, float]:
+    """Newton steps from w on the float kernels' coefficients, each taken
+    at r = 1 and appended to steps, while f > 0, a step lowers f and fewer
+    than max_steps are taken.  P and P' come from one two-row Horner pass
+    per point.  Returns the point reached and its objective; raises
+    NonFiniteObjectiveError when f(w) itself is not finite."""
+    value, slope = horner_slope(coeffs, w)
+    f_w = value_square_modulus(value, w)
+    while f_w != 0 and len(steps) < max_steps:
+        newton = _newton(value, slope)
+        if newton is None:
+            break
+        alpha, zeta = newton
+        trial = complex(w.real + zeta.real, w.imag + zeta.imag)
+        trial_value, trial_slope = horner_slope(coeffs, trial)
+        try:
+            f_trial = value_square_modulus(trial_value, trial)
+        except NonFiniteObjectiveError:
+            break
+        if not f_trial < f_w:
+            break
+        steps.append(_newton_step(ComplexScalar(w.real, w.imag), f_w, alpha, zeta))
+        w, value, slope, f_w = trial, trial_value, trial_slope, f_trial
+    return w, f_w
+
+
+def descent_start(poly: Polynomial) -> ComplexScalar:
+    """Where a descent on poly starts: 0.0 in floats, and the exact start
+    scan ``_best_start`` for an exact polynomial."""
+    return _best_start(poly) if poly.is_exact() else FLOAT_ORIGIN
+
+
 def _best_start(poly: Polynomial) -> ComplexScalar:
     """Of 0 and the axis and corner points at the certified radius and four
     halvings of it, in a fixed enumeration order, the point with the
-    smallest objective (the first on ties)."""
-    coeffs, origin, exact = poly.kernel_args(ZERO)
-    make, o = type(origin), origin.real
+    smallest objective (the first on ties); exact polynomials only."""
     radius = poly.growth_radius()
-    parts = [(o, o)]
+    parts = [(0, 0)]
     for m in range(5):
-        s = Fraction(radius, 2**m) if exact else radius / float(2**m)
-        parts += [(s, o), (-s, o), (o, s), (o, -s), (s, s), (s, -s), (-s, s), (-s, -s)]
+        s = Fraction(radius, 2**m)
+        parts += [(s, 0), (-s, 0), (0, s), (0, -s), (s, s), (s, -s), (-s, s), (-s, -s)]
     best = None
     best_f = None
     for re, im in parts:
-        f = square_modulus(coeffs, make(re, im))
+        f = square_modulus(poly.coeffs, ComplexScalar(re, im))
         if best_f is None or f < best_f:
             best, best_f = (re, im), f
     return ComplexScalar(*best)
-
-
-def _polish(
-    original: Polynomial, z: ComplexScalar, config: SolverConfig
-) -> tuple[ComplexScalar, DescentTrace]:
-    """POLISH_MAX_OUTER descent rounds against the original polynomial;
-    best effort, never worse than the input point."""
-    try:
-        return descend_to_root(original, z, config, phase="polish")
-    except ConvergenceError as err:
-        return err.best_z, err.trace
 
 
 def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> RootResult:
@@ -394,9 +514,10 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
 
     Roots at 0 are read off directly from trailing zero coefficients.
     Every other root is found on the current deflated polynomial starting
-    from the best of a coarse sample inside the certified radius, then
-    polished against the original P.  Output is sorted by (Re, Im);
-    residual one-norms are evaluated on the original polynomial.
+    from ``descent_start``, then polished against the original P, which
+    must meet the residual target there or the solve fails.  Output is
+    sorted by (Re, Im); residual one-norms are evaluated on the original
+    polynomial.
     """
     if poly.degree < 1:
         raise ValueError("degree must be >= 1")
@@ -413,17 +534,16 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
 
     zero_order = poly.trailing_zero_order()
     if zero_order:
-        zero = ZERO if exact else ZERO.to_float()
+        zero = ZERO if exact else FLOAT_ORIGIN
         roots.extend([zero] * zero_order)
     work = Polynomial(poly.coeffs[zero_order:])
 
     while work.degree >= 1:
         try:
-            start = _best_start(work)
-            root, trace = descend_to_root(work, start, config)
+            root, trace = descend_to_root(work, descent_start(work), config)
             iterations += len(trace.steps)
             traces.append(trace)
-            root, polish_trace = _polish(poly, root, config)
+            root, polish_trace = descend_to_root(poly, root, config, phase="polish")
         except ConvergenceError as err:
             iterations += len(err.trace.steps)
             partial = _package(poly, roots, traces + [err.trace], iterations)
@@ -491,13 +611,6 @@ def positive_nth_root(c: float, n: int, config: SolverConfig = DEFAULT_CONFIG) -
         raise ArithmeticError(f"no root with positive real part for c={c}, n={n}")
     root = min(on_axis, key=lambda z: abs(z.im))
     x = root.re
-
-    # Perfect powers snap to the integer root (detection multiplies only),
-    # so e.g. (4, 2) gives exactly 2.0.
-    snapped = float(round(x))
-    if snapped > 0 and _real_pow(snapped, n) == c:
-        x = snapped
-
     residual = _real_pow(x, n) - c
     allowance = config.residual_tol * (1.0 + c)  # coefficient one-norm of z^n - c
     if residual * residual > allowance * allowance:

@@ -202,7 +202,7 @@ def test_solve_objective_overflow_exits_3_under_optimize():
     # solve would print a bogus root with exit 0.
     env = dict(os.environ, PYTHONPATH=str(Path(fourops.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-O", "-m", "fourops.cli", "solve", "--coeffs=1e300,1"],
+        [sys.executable, "-O", "-m", "fourops.cli", "solve", "--coeffs=1e160+1e160i,1"],
         env=env,
         capture_output=True,
         text=True,
@@ -216,7 +216,7 @@ def test_solve_objective_overflow_exits_3_under_optimize():
 
 def test_trace_objective_overflow_exits_3(capsys, tmp_path):
     path = tmp_path / "steps.csv"
-    assert main(["trace", "--coeffs=1e300,1", "--csv", str(path)]) == 3
+    assert main(["trace", "--coeffs=1e160+1e160i,1", "--csv", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
 
 
@@ -308,7 +308,7 @@ def test_trace_csv(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_FIELDS)
     assert (
-        lines[0] == "step,re_z,im_z,f,k,re_alpha,im_alpha,re_zeta,im_zeta,r,backtracks"
+        lines[0] == "step,re_z,im_z,f,k,re_alpha,im_alpha,re_zeta,im_zeta,r,backtracks,rule"
     )
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) > 0
@@ -319,12 +319,15 @@ def test_trace_csv(capsys, tmp_path):
         assert int(row[4]) >= 1  # k column
         assert 0 < float(row[9]) <= 1.0  # accepted r
         assert int(row[10]) >= 0  # backtracks
+    assert rows[0][11] == "quadrant"  # z^2 + 2 has order 2 at the start 0
+    assert {row[11] for row in rows} <= {"unit", "quadrant", "escalated", "newton"}
+    assert rows[-1][11] == "newton"
 
 
 def test_trace_at_exact_sample_root_writes_header_only(capsys, tmp_path):
-    # the coarse start sample hits the roots of z^2 + 1 exactly
+    # the float start 0 is a root of z^2 - z
     path = tmp_path / "empty.csv"
-    assert main(["trace", "--coeffs", "1,0,1", "--csv", str(path)]) == 0
+    assert main(["trace", "--coeffs=0,-1,1", "--csv", str(path)]) == 0
     capsys.readouterr()
     lines = path.read_text().splitlines()
     assert lines == [",".join(TRACE_FIELDS)]
@@ -399,3 +402,27 @@ def test_trace_to_unwritable_path_is_a_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {path}")
     assert "Traceback" not in captured.err
+
+
+def test_solve_holds_every_root_to_the_residual_target(capsys):
+    # A degree-8 input where a root that was never checked against the
+    # original P came back with residual 4.05e-6, 1.06e-8 times the
+    # coefficient one-norm, under the default tol of 1e-9.
+    coeffs = (
+        "-15.595062048332544+7.61041454141532i,2.851920871162821+63.56518148806107i,"
+        "74.2677324595413+43.65607784730145i,60.79253144632497+6.539067951913204i,"
+        "55.40783987086965+2.2887724144568207i,25.190907143180645-13.270895184620716i,"
+        "2.40868032643753+1.8685292392572244i,3.6143782682337586+3.408021138972025i,1"
+    )
+    scale = sum(abs(c.real) + abs(c.imag) for c in map(_parse_complex, coeffs.split(",")))
+    code = main(["solve", f"--coeffs={coeffs}", "--json"])
+    assert code in (0, 3)
+    payload = json.loads(capsys.readouterr().out)
+    if code == 0:
+        assert len(payload["roots"]) == 8
+    assert all(r <= 2 * 1e-9 * scale for r in payload["residual_one_norms"])
+
+
+def _parse_complex(term):
+    value = _parse_term(term)
+    return complex(value.re, value.im)

@@ -1,14 +1,20 @@
-"""The solver's descent round and start scan against reference loops written
-on plain ``ComplexScalar`` arithmetic, compared by ``repr`` of the whole
-trace (every ``DescentStep``, signed zeros and float bits included).
+"""The solver's descent round, polish and start rule against reference
+loops written on plain ``ComplexScalar`` arithmetic, compared by ``repr``
+of the whole trace (every ``DescentStep``, signed zeros and float bits
+included) and the steering rule of every step.
 
 The reference is the round as the solver's docstring states it: Taylor
 shift by repeated synthetic division, the order by the float or exact
-rule, alpha = conj(P(z)) * Q(0), the steepest candidate, the bound M, and
-the backtracking line search with its sufficient-decrease test, plus the
-float backend's retry at the next nonzero order.  The solver runs the same
-formulas on builtin ``complex`` for float points; these tests pin that the
-iterates do not move.
+rule, in floats at order 1 the Newton step zeta = -b0 conj(b1) / |b1|^2
+taken at r = 1 when it halves f, else alpha = conj(P(z)) * Q(0), the
+steepest candidate, the bound M, and the backtracking line search with its
+sufficient-decrease test, plus the float backend's retry at the next
+nonzero order.  The float polish is Newton steps on P and P' from a
+two-row Horner pass while f falls, checked against the residual target at
+the end.  Float descents start at 0; exact ones at the best point of the
+exact start scan.  The solver runs the same formulas on builtin
+``complex`` for float points; these tests pin that the iterates do not
+move.
 """
 
 from fractions import Fraction
@@ -16,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from fourops import solver
-from fourops.estermann import candidate_set
+from fourops.estermann import DirectionCandidate, candidate_set
 from fourops.poly import REL_ZERO_EPS, NonFiniteObjectiveError, Polynomial
 from fourops.sampling import SplitMix64, random_float_complex
 from fourops.scalars import ComplexScalar, ZERO
@@ -28,8 +34,8 @@ from fourops.solver import (
     DescentStep,
     DescentTrace,
     SolverConfig,
-    _best_start,
     descend_to_root,
+    descent_start,
     find_all_roots,
 )
 
@@ -102,6 +108,65 @@ def ref_bound(base, quotient, zeta, k):
     return 2 * m1 + m2
 
 
+def ref_newton(b0, b1):
+    """(alpha, zeta) of the Newton step, or None where the solver skips it."""
+    d = b1.re * b1.re + b1.im * b1.im
+    if not 0 < d < float("inf"):
+        return None
+    num = b0 * b1.conj()
+    zeta = C(-num.re / d, -num.im / d)
+    alpha = b0.conj() * b1
+    if not alpha.re * zeta.re - alpha.im * zeta.im < 0:
+        return None
+    return alpha, zeta
+
+
+def newton_step(z, f_z, alpha, zeta):
+    return DescentStep(z, f_z, 1, alpha, DirectionCandidate(zeta, zeta), 1.0, 0, None, "newton")
+
+
+def ref_value_and_slope(p, z):
+    value = slope = p.coeffs[-1]
+    for c in reversed(p.coeffs[1:-1]):
+        value = value * z + c
+        slope = slope * z + value
+    return value * z + p.coeffs[0], slope
+
+
+def ref_square(value, z):
+    prod = value * value.conj()
+    if prod.im != 0:
+        raise NonFiniteObjectiveError(f"objective at {z!r} is not a finite real number")
+    return prod.re
+
+
+def ref_polish(p, z_start, stop):
+    """The float polish: Newton steps while f > 0 and each step lowers f."""
+    z = z_start.to_float()
+    value, slope = ref_value_and_slope(p, z)
+    f_z = ref_square(value, z)
+    steps = []
+    while f_z != 0 and len(steps) < POLISH_MAX_OUTER:
+        newton = ref_newton(value, slope)
+        if newton is None:
+            break
+        alpha, zeta = newton
+        trial = C(z.re + zeta.re, z.im + zeta.im)
+        trial_value, trial_slope = ref_value_and_slope(p, trial)
+        try:
+            f_trial = ref_square(trial_value, trial)
+        except NonFiniteObjectiveError:
+            break
+        if not f_trial < f_z:
+            break
+        steps.append(newton_step(z, f_z, alpha, zeta))
+        z, value, slope, f_z = trial, trial_value, trial_slope, f_trial
+    trace = DescentTrace(z_start, tuple(steps), z, f_z, f_z <= stop, "polish")
+    if not trace.converged:
+        raise ConvergenceError("polish", z, f_z, trace)
+    return z, trace
+
+
 def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=None):
     exact = p.is_exact() and z_start.is_exact()
     step_init, shrink, tol = 1.0, 0.5, config.residual_tol
@@ -113,6 +178,8 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
         max_backtracks = EXACT_MAX_BACKTRACKS
     scale = p.coeff_one_norm()
     stop = tol * tol * scale * scale
+    if phase == "polish" and not exact:
+        return ref_polish(p.to_float(), z_start, stop)
     z = z_start
     f_z = ref_objective(p, z)
     best_z, best_f = z, f_z
@@ -122,6 +189,19 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
             trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
             raise ConvergenceError("max_outer", best_z, best_f, trace)
         b, order = ref_shift(p, z, exact)
+        detected = order
+        newton = ref_newton(b[0], b[1]) if order == 1 and not exact else None
+        if newton is not None:
+            alpha, zeta = newton
+            trial = C(z.re + zeta.re, z.im + zeta.im)
+            try:
+                f_trial = ref_objective(p, trial)
+            except NonFiniteObjectiveError:
+                f_trial = None
+            if f_trial is not None and f_trial < f_z and f_trial <= f_z / 2:
+                steps.append(newton_step(z, f_z, alpha, zeta))
+                z, f_z = trial, f_trial
+                continue
         accepted = None
         while accepted is None:
             alpha = b[0].conj() * b[order]
@@ -143,21 +223,29 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
                 if escalations is not None:
                     escalations.append(order)
         m_bound = ref_bound(b[0], b[order:], cand.zeta, order)
-        steps.append(DescentStep(z, f_z, order, alpha, cand, accepted[2], accepted[3], m_bound))
+        if order != detected:
+            rule = "escalated"
+        elif order % 2 == 0 and cand.zeta.im != 0:
+            rule = "quadrant"
+        else:
+            rule = "unit"
+        steps.append(
+            DescentStep(z, f_z, order, alpha, cand, accepted[2], accepted[3], m_bound, rule)
+        )
         z, f_z = accepted[0], accepted[1]
         if f_z < best_f:
             best_z, best_f = z, f_z
     return z, DescentTrace(z_start, tuple(steps), z, f_z, True, phase)
 
 
-def ref_best_start(p):
-    exact = p.is_exact()
+def ref_start(p):
+    if not p.is_exact():
+        return C(0.0, 0.0)
     radius = p.growth_radius()
-    o = 0 if exact else 0.0
-    points = [C(o, o)]
+    points = [C(0, 0)]
     for m in range(5):
-        s = Fraction(radius, 2**m) if exact else radius / float(2**m)
-        points += [C(s, o), C(-s, o), C(o, s), C(o, -s), C(s, s), C(s, -s), C(-s, s), C(-s, -s)]
+        s = Fraction(radius, 2**m)
+        points += [C(s, 0), C(-s, 0), C(0, s), C(0, -s), C(s, s), C(s, -s), C(-s, s), C(-s, -s)]
     best = best_f = None
     for point in points:
         f = ref_objective(p, point)
@@ -172,12 +260,9 @@ def ref_find_all_roots(p, config, escalations):
     roots, traces = [], []
     work = p
     while work.degree >= 1:
-        root, trace = ref_descend(work, ref_best_start(work), config, escalations=escalations)
+        root, trace = ref_descend(work, ref_start(work), config, escalations=escalations)
         traces.append(trace)
-        try:
-            root, polish = ref_descend(p, root, config, "polish", escalations)
-        except ConvergenceError as err:
-            root, polish = err.best_z, err.trace
+        root, polish = ref_descend(p, root, config, "polish", escalations)
         if polish.steps:
             traces.append(polish)
         roots.append(root)
@@ -190,12 +275,18 @@ def ref_find_all_roots(p, config, escalations):
 # ---------------------------------------------------------------------------
 
 
+def rules(trace):
+    return [step.rule for step in trace.steps]
+
+
 def outcome(fn, *args):
-    """repr of the result, or of the error with its trace and best point."""
+    """repr of the result and the rule of every step, or of the error with
+    its trace, the trace's rules and the best point."""
     try:
-        return repr(fn(*args))
+        z, trace = fn(*args)
+        return repr((z, trace, rules(trace)))
     except ConvergenceError as err:
-        return repr(("ConvergenceError", err.best_z, err.best_f, err.trace))
+        return repr(("ConvergenceError", err.best_z, err.best_f, err.trace, rules(err.trace)))
     except NonFiniteObjectiveError as err:
         return repr(("NonFiniteObjectiveError", str(err)))
 
@@ -214,38 +305,45 @@ def short(monkeypatch):
 
 
 def test_best_start_matches_reference():
+    # Float descents start at 0; exact ones at the best point of the scan.
     for p, _ in seeded_float_polys():
-        assert outcome(_best_start, p) == outcome(ref_best_start, p)
+        assert repr(descent_start(p)) == repr(ref_start(p)) == repr(C(0.0, 0.0))
+    rng = SplitMix64(63)
+    for degree in (1, 2, 3, 4, 2, 3):
+        roots = [
+            C(Fraction(int(rng.next_u64() % 9) - 4, 1 + int(rng.next_u64() % 3)), Fraction(1, 2))
+            for _ in range(degree)
+        ]
+        exact = Polynomial.from_roots(roots)
+        assert repr(descent_start(exact)) == repr(ref_start(exact))
     exact = Polynomial.from_scalars([Fraction(1, 3), Fraction(-2, 7), 1])
-    assert outcome(_best_start, exact) == outcome(ref_best_start, exact)
+    assert repr(descent_start(exact)) == repr(ref_start(exact))
 
 
 def test_descent_from_best_start_and_fixed_points_matches_reference(short):
-    started = 0
+    kinds = set()
     for p, _ in seeded_float_polys():
-        starts = [C(1.5, -0.5), C(0.0, 0.0), C(-0.0, 3.0)]
-        try:
-            starts.append(ref_best_start(p))
-            started += 1
-        except NonFiniteObjectiveError:
-            pass
-        for start in starts:
-            assert outcome(descend_to_root, p, start) == outcome(ref_descend, p, start)
-    assert started >= 10
+        for start in (ref_start(p), C(1.5, -0.5), C(-0.0, 3.0)):
+            got = outcome(descend_to_root, p, start)
+            assert got == outcome(ref_descend, p, start)
+            kinds.update(kind for kind in ("newton", "unit") if f"'{kind}'" in got)
+    assert kinds == {"newton", "unit"}
 
 
 def test_polish_phase_matches_reference():
     config = SolverConfig(residual_tol=1e-14)
     rng = SplitMix64(62)
     compared = 0
+    failed = 0
     for p, roots in seeded_float_polys():
         for root in roots[:2]:
             start = root + random_float_complex(rng, 1e-6)
-            assert outcome(descend_to_root, p, start, config, "polish") == outcome(
-                ref_descend, p, start, config, "polish"
-            )
+            got = outcome(descend_to_root, p, start, config, "polish")
+            assert got == outcome(ref_descend, p, start, config, "polish")
             compared += 1
+            failed += got.startswith("('ConvergenceError'")
     assert compared > 30
+    assert 0 < failed < compared  # both ends of the residual check are reached
 
 
 def test_fifth_roots_escalation_matches_reference():
@@ -284,13 +382,14 @@ def test_fraction_polynomial_matches_reference():
 
 
 def test_non_finite_objective_message_matches_reference():
-    # The start scan: the sampler reaches a point where Re P * Im P overflows.
-    p = Polynomial.from_scalars([1e300, 1.0])
-    with pytest.raises(NonFiniteObjectiveError) as scan:
-        _best_start(p)
-    with pytest.raises(NonFiniteObjectiveError) as ref_scan:
-        ref_best_start(p)
-    assert str(scan.value) == str(ref_scan.value)
+    # The start: Re P(0) * Im P(0) overflows, in the descent and the polish.
+    p = Polynomial((C(1e160, 1e160), C(1.0, 0.0)))
+    for phase in ("descent", "polish"):
+        with pytest.raises(NonFiniteObjectiveError) as start:
+            descend_to_root(p, C(0.0, 0.0), SolverConfig(), phase)
+        with pytest.raises(NonFiniteObjectiveError) as ref_start_error:
+            ref_descend(p, C(0.0, 0.0), SolverConfig(), phase)
+        assert str(start.value) == str(ref_start_error.value)
     # The line search: f at the start is about 1e300, the first trial overflows.
     q = Polynomial((C(1e150, 0.0), C(1e155, 1e155)))
     start = C(0.0, 0.0)

@@ -64,7 +64,11 @@ def test_descend_linear_float():
     root, trace = descend_to_root(P(-2.0, 1.0), C(0.0, 0.0))
     assert root == C(2.0, 0.0)
     assert trace.converged
-    assert len(trace.steps) == 2  # 0 -> 1 -> 2, both at full step r = 1
+    # one Newton step 0 -> 2 at r = 1: zeta = -P(0) conj(P'(0)) / |P'(0)|^2 = 2
+    (step,) = trace.steps
+    assert step.rule == "newton"
+    assert step.direction.zeta == step.direction.zeta_pow_k == C(2.0, 0.0)
+    assert (step.order, step.r_accepted, step.backtracks, step.m_bound) == (1, 1.0, 0, None)
     assert trace.final_f == 0.0
 
 
@@ -241,8 +245,9 @@ def test_solve_error_carries_partial(monkeypatch):
 
 
 def test_objective_out_of_float_range_is_a_solve_error():
+    # Re P(0) * Im P(0) overflows at the start 0.
     with pytest.raises(SolveError) as info:
-        find_all_roots(P(1e300, 1.0))
+        find_all_roots(P(C(1e160, 1e160), 1.0))
     err = info.value
     assert isinstance(err.cause, NonFiniteObjectiveError)
     assert err.partial.roots == ()
@@ -301,6 +306,7 @@ def test_nth_root_against_bisection():
 
 
 def test_nth_root_perfect_powers_snap():
+    # No rounding to integers: the solve itself lands on the exact root.
     assert positive_nth_root(4.0, 2) == 2.0
     assert positive_nth_root(8.0, 3) == 2.0
     assert positive_nth_root(81.0, 4) == 3.0
@@ -326,9 +332,20 @@ def test_nth_root_rejects_bad_input():
 
 
 def test_steps_record_the_picked_direction():
-    _, trace = descend_to_root(P(2.0, 0.0, 1.0), C(1.5, 0.5))
+    # z^2 + 2 from 0: order 2 there, so the first step is a quadrant
+    # candidate; Newton steps follow once the order is 1.
+    _, trace = descend_to_root(P(2.0, 0.0, 1.0), C(0.0, 0.0))
+    rules = [step.rule for step in trace.steps]
+    assert rules[0] == "quadrant" and "newton" in rules
     for step in trace.steps:
-        assert step.direction == pick_descent_direction(step.alpha, step.order)
+        if step.rule == "newton":
+            zeta = step.direction.zeta
+            assert step.direction.zeta_pow_k == zeta and step.order == 1
+            assert step.m_bound is None and step.r_accepted == 1.0
+            # Re[alpha zeta] = -f for the Newton step
+            assert directed_real_part(step) == pytest.approx(-step.f_value, rel=1e-12)
+        else:
+            assert step.direction == pick_descent_direction(step.alpha, step.order)
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +388,24 @@ def test_solver_config_accepts_the_edges(monkeypatch):
     monkeypatch.setattr(solver, "MAX_OUTER", 1)
     with pytest.raises(SolveError):
         find_all_roots(P(2.0, 0.0, 1.0), config)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+def test_every_returned_root_meets_the_residual_target(tol):
+    # Residual one-norm <= sqrt(2) * |P(z)| <= sqrt(2) * tol * scale whenever
+    # f <= (tol * scale)^2; a solve that cannot get there raises instead.
+    rng = SplitMix64(77)
+    config = SolverConfig(residual_tol=tol)
+    solved = 0
+    for degree in range(1, 33):
+        roots = [C(random_box_float(rng, 2.0), random_box_float(rng, 2.0)) for _ in range(degree)]
+        poly = Polynomial.from_roots(roots)
+        try:
+            result = find_all_roots(poly, config)
+        except SolveError:
+            continue
+        solved += 1
+        assert len(result.roots) == degree
+        bound = 2 * tol * poly.coeff_one_norm()
+        assert all(r <= bound for r in result.residual_one_norms), degree
+    assert solved >= 16
