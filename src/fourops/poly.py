@@ -76,6 +76,8 @@ class Polynomial:
     _complex: tuple[complex, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The one-norm of each coefficient (``coeff_norms``).
+    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
@@ -123,11 +125,22 @@ class Polynomial:
     def to_float(self) -> "Polynomial":
         return Polynomial(tuple(c.to_float() for c in self.coeffs))
 
+    def coeff_norms(self) -> tuple:
+        """The one-norm of each coefficient, cached on first use."""
+        norms = self._norms
+        if norms is None:
+            norms = tuple(c.one_norm() for c in self.coeffs)
+            object.__setattr__(self, "_norms", norms)
+        return norms
+
     def coeff_one_norm(self):
-        """Sum of coefficient one-norms; the natural scale of the polynomial."""
-        total = self.coeffs[0].one_norm()
-        for c in self.coeffs[1:]:
-            total = total + c.one_norm()
+        """Sum of coefficient one-norms; the natural scale of the polynomial.
+        Summed left to right by hand: ``sum()`` of floats is compensated from
+        Python 3.12 on, which would change the bits."""
+        norms = self.coeff_norms()
+        total = norms[0]
+        for v in norms[1:]:
+            total = total + v
         return total
 
     def require_finite(self) -> None:
@@ -277,16 +290,26 @@ class Polynomial:
 
         Returns (quotient, remainder).  The remainder equals P(root) and is
         handed back as a residual diagnostic instead of being dropped.
+        The division runs on the kernels' values (``kernel_args``); in
+        floats the quotient keeps them as its ``complex_coeffs``.
         """
         n = self.degree
         if n < 1:
             raise ValueError("deflate requires degree >= 1")
+        coeffs, w, exact = self.kernel_args(root)
         q: list = [None] * n
-        q[n - 1] = self.coeffs[n]
+        q[n - 1] = coeffs[n]
         for j in range(n - 1, 0, -1):
-            q[j - 1] = self.coeffs[j] + root * q[j]
-        remainder = self.coeffs[0] + root * q[0]
-        return Polynomial(tuple(q)), remainder
+            q[j - 1] = coeffs[j] + w * q[j]
+        remainder = coeffs[0] + w * q[0]
+        if exact:
+            return Polynomial(tuple(q)), remainder
+        # The lead is the original coefficient, not its complex copy.
+        values = [ComplexScalar(v.real, v.imag) for v in q[:-1]]
+        values.append(self.coeffs[n])
+        quotient = Polynomial(tuple(values))
+        object.__setattr__(quotient, "_complex", tuple(q))
+        return quotient, ComplexScalar(remainder.real, remainder.imag)
 
     # -- serialization --------------------------------------------------------------
 
@@ -369,6 +392,26 @@ def shifted(coeffs, z) -> list:
 def shift_norms(b) -> list:
     """one_norm of each shifted coefficient."""
     return [abs(v.real) + abs(v.imag) for v in b]
+
+
+def certifies_order_one(slope, norms, z) -> bool:
+    """Whether the float ``shift_order`` at z is surely 1, in O(n) and
+    without the shift, from P'(z) = ``slope`` and the polynomial's
+    coefficient one-norms ``norms`` (True when surely 1, False when
+    unknown).
+
+    With N the one-norm, each exact shifted coefficient has
+    N(b_j) <= sum over i >= j of C(i, j) N(a_i) N(z)^(i-j), so summing
+    over j gives max_j N(b_j) <= B = sum_i N(a_i) (1 + N(z))^i, one real
+    Horner pass.  When N(P'(z)) > REL_ZERO_EPS * B, b_1 clears the
+    vanishing threshold of every shifted coefficient; the factor
+    1 + 2^-20 absorbs the rounding of B, of the shift and of the norms.
+    B = inf or NaN fails the test."""
+    t = 1 + abs(z.real) + abs(z.imag)
+    bound = 0
+    for v in reversed(norms):
+        bound = bound * t + v
+    return abs(slope.real) + abs(slope.imag) > REL_ZERO_EPS * bound * (1 + 2.0**-20)
 
 
 def shift_order(norms, exact: bool) -> int:

@@ -11,6 +11,14 @@ One descent round at a point z:
    about r < 1, has nothing to check.  Newton is skipped when |Q(0)|^2 is
    0 or not finite, or when the trial leaves the float range, and any
    rejected Newton trial falls back to steps 2 and 3.
+   A float round costs O(n) when Newton is taken: P(z) and Q(0) = P'(z)
+   come from one two-row Horner pass (``horner_slope``, the shift's
+   first two rows bit for bit), carried over from the previous round's
+   trial, and ``certifies_order_one`` proves k = 1 from P'(z) and the
+   coefficient one-norms alone.  The O(n^2) shift is built only when
+   that test is inconclusive or Newton is rejected, and Newton is not
+   tried twice in one round, so every iterate is the one the full shift
+   would give.
 2. Steer: alpha = conj(P(z)) * Q(0); pick the candidate direction zeta
    with the most negative normalized Re[alpha * zeta^k]
    (``pick_descent_direction``; such a direction always exists for
@@ -89,6 +97,7 @@ from .poly import (
     NonFiniteObjectiveError,
     Polynomial,
     ShiftDecomposition,
+    certifies_order_one,
     horner_slope,
     shift_norms,
     shift_order,
@@ -334,15 +343,26 @@ def descend_to_root(
             failure = f"Newton polish ended above the residual target after {len(steps)} steps"
     else:
         f_z = poly.objective(z_start)
+        if not exact:
+            # P(w) and P'(w), carried from round to round.
+            value, slope = horner_slope(coeffs, w)
+            norms = poly.coeff_norms()
         while not met(f_z):
             if len(steps) >= max_outer:
                 failure = f"no convergence within {max_outer} descent rounds"
                 break
-            accepted = _descent_round(coeffs, z, w, f_z, exact, max_backtracks)
-            if accepted is None:
-                failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
-                break
-            step, w, f_z = accepted
+            certified = not exact and certifies_order_one(slope, norms, w)
+            newton = _newton_round(coeffs, z, w, f_z, value, slope) if certified else None
+            if newton is not None:
+                step, w, f_z, value, slope = newton
+            else:
+                accepted = _descent_round(coeffs, z, w, f_z, exact, max_backtracks, certified)
+                if accepted is None:
+                    failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
+                    break
+                step, w, f_z = accepted
+                if not exact:
+                    value, slope = horner_slope(coeffs, w)
             z = ComplexScalar(w.real, w.imag)
             steps.append(step)
     trace = DescentTrace(z_start, tuple(steps), z, f_z, failure is None, phase)
@@ -384,31 +404,65 @@ def _newton_step(z: ComplexScalar, f_z, alpha: complex, zeta: complex) -> Descen
     )
 
 
+def _newton_trial(coeffs: tuple, w: complex, value: complex, slope: complex):
+    """The Newton step from w at r = 1, from value = P(w) and slope = P'(w)
+    (see ``_newton``), evaluated with one two-row Horner pass: (alpha,
+    zeta, the trial point, P and P' there, f there), or None when the
+    step is skipped or f at the trial point is not finite."""
+    newton = _newton(value, slope)
+    if newton is None:
+        return None
+    alpha, zeta = newton
+    trial = complex(w.real + zeta.real, w.imag + zeta.imag)
+    trial_value, trial_slope = horner_slope(coeffs, trial)
+    try:
+        f_trial = value_square_modulus(trial_value, trial)
+    except NonFiniteObjectiveError:
+        return None
+    return alpha, zeta, trial, trial_value, trial_slope, f_trial
+
+
+def _newton_round(
+    coeffs: tuple, z: ComplexScalar, w: complex, f_z, value: complex, slope: complex
+) -> tuple[DescentStep, complex, float, complex, complex] | None:
+    """The Newton step of a float round at order 1 (see the module
+    docstring), from value = P(w) and slope = P'(w).  Returns the step,
+    the trial point, its objective and P and P' there, or None when the
+    step is skipped or rejected."""
+    newton = _newton_trial(coeffs, w, value, slope)
+    if newton is None:
+        return None
+    alpha, zeta, trial, trial_value, trial_slope, f_trial = newton
+    # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
+    if f_trial < f_z and f_trial <= f_z * 0.5:
+        return _newton_step(z, f_z, alpha, zeta), trial, f_trial, trial_value, trial_slope
+    return None
+
+
 def _descent_round(
-    coeffs: tuple, z: ComplexScalar, w, f_z, exact: bool, max_backtracks: int
+    coeffs: tuple,
+    z: ComplexScalar,
+    w,
+    f_z,
+    exact: bool,
+    max_backtracks: int,
+    newton_tried: bool,
 ) -> tuple[DescentStep, complex | ComplexScalar, Scalar] | None:
-    """One descent round at z (see the module docstring), on the kernels'
-    coefficients and w, which is z in their value type.  Returns the step,
-    the accepted point in that type and its objective, or None when the
-    line search exhausts its shrinks at every usable order."""
+    """One descent round at z (see the module docstring) from the Taylor
+    shift, on the kernels' coefficients and w, which is z in their value
+    type; in floats at order 1 it tries Newton first unless
+    ``newton_tried``.  Returns the step, the accepted point in that type
+    and its objective, or None when the line search exhausts its shrinks
+    at every usable order."""
     make = type(w)
     b = shifted(coeffs, w)
     norms = shift_norms(b)
     order = detected = shift_order(norms, exact)
     z_re, z_im = w.real, w.imag
-    if order == 1 and not exact:
-        newton = _newton(b[0], b[1])
+    if order == 1 and not exact and not newton_tried:
+        newton = _newton_round(coeffs, z, w, f_z, b[0], b[1])
         if newton is not None:
-            alpha, zeta = newton
-            trial = make(z_re + zeta.real, z_im + zeta.imag)
-            try:
-                f_trial = square_modulus(coeffs, trial)
-            except NonFiniteObjectiveError:
-                pass
-            else:
-                # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
-                if f_trial < f_z and f_trial <= f_z * 0.5:
-                    return _newton_step(z, f_z, alpha, zeta), trial, f_trial
+            return newton[:3]
     # The step schedule r = 1, 1/2, 1/4, ... in the backend's number type.
     first_r, half = (Fraction(1), Fraction(1, 2)) if exact else (1.0, 0.5)
     while True:
@@ -468,16 +522,10 @@ def _newton_polish(
     value, slope = horner_slope(coeffs, w)
     f_w = value_square_modulus(value, w)
     while f_w != 0 and len(steps) < max_steps:
-        newton = _newton(value, slope)
+        newton = _newton_trial(coeffs, w, value, slope)
         if newton is None:
             break
-        alpha, zeta = newton
-        trial = complex(w.real + zeta.real, w.imag + zeta.imag)
-        trial_value, trial_slope = horner_slope(coeffs, trial)
-        try:
-            f_trial = value_square_modulus(trial_value, trial)
-        except NonFiniteObjectiveError:
-            break
+        alpha, zeta, trial, trial_value, trial_slope, f_trial = newton
         if not f_trial < f_w:
             break
         steps.append(_newton_step(ComplexScalar(w.real, w.imag), f_w, alpha, zeta))

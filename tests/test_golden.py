@@ -20,6 +20,9 @@ from fourops.solver import SolveError, SolverConfig, find_all_roots
 # target: every float iterate moved, and all 16 solves now succeed.
 FLOAT_DIGEST = "2f096a8340249a65c91fd2156888fbab665b3071152490307d267e6529c7f05b"
 EXACT_DIGEST = "e51d0dff9434f184d23d5b4a1129f242f1a649d22c8a5f2cfd2ee1d4093d77d3"
+# Degree 17-32 float solves, where 9 of the 16 raise SolveError: the descent
+# rounds take the O(n) Newton path and deflation runs on complex values.
+HIGH_DEGREE_DIGEST = "aee2cd2640e9a165922f39ffeea250fd64dc194264b000b674feea6a08d80daa"
 
 
 def outcome(poly, config=SolverConfig()):
@@ -33,17 +36,27 @@ def digest(outcomes):
     return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
 
 
-def test_float_solves_are_bit_identical():
-    rng = SplitMix64(2024)
+def float_outcomes(seed, degrees):
+    rng = SplitMix64(seed)
     config = SolverConfig(residual_tol=1e-12)
     outcomes = []
-    for degree in range(1, 17):
+    for degree in degrees:
         roots = [
             ComplexScalar(random_box_float(rng, 2.0), random_box_float(rng, 2.0))
             for _ in range(degree)
         ]
         outcomes.append(outcome(Polynomial.from_roots(roots), config))
-    assert digest(outcomes) == FLOAT_DIGEST
+    return outcomes
+
+
+def test_float_solves_are_bit_identical():
+    assert digest(float_outcomes(2024, range(1, 17))) == FLOAT_DIGEST
+
+
+def test_high_degree_float_solves_are_bit_identical():
+    outcomes = float_outcomes(2025, range(17, 33))
+    assert sum(o.startswith("('SolveError'") for o in outcomes) == 9
+    assert digest(outcomes) == HIGH_DEGREE_DIGEST
 
 
 def small_rational(rng):

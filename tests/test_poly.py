@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from fourops.poly import NonFiniteObjectiveError, Polynomial, REL_ZERO_EPS
+from fourops.poly import (
+    REL_ZERO_EPS,
+    NonFiniteObjectiveError,
+    Polynomial,
+    certifies_order_one,
+    horner_slope,
+    shift_norms,
+    shift_order,
+    shifted,
+)
 from fourops.sampling import SplitMix64, random_exact_complex, random_float_complex
 from fourops.scalars import ComplexScalar, I, ONE, ZERO
 
@@ -45,6 +54,12 @@ def test_zero_polynomial_rejected():
 def test_from_roots_cubic():
     p = Polynomial.from_roots([C(1), C(2), C(3)])
     assert p.coeffs == (C(-6), C(11), C(-6), C(1))
+
+
+def test_coeff_norms_are_cached_per_coefficient():
+    p = Polynomial.from_scalars([C(1, -2), C(0.5, 0.25), C(3)])
+    assert p.coeff_norms() == (3, 0.75, 3)
+    assert p.coeff_norms() is p.coeff_norms()
 
 
 def test_coeff_one_norm():
@@ -138,6 +153,16 @@ def reference_shift(p, z0):
     return b[0], order, tuple(b[order:])
 
 
+def reference_deflate(p, root):
+    """(quotient coefficients, remainder) by synthetic division on ComplexScalar."""
+    n = p.degree
+    q = [None] * n
+    q[n - 1] = p.coeffs[n]
+    for j in range(n - 1, 0, -1):
+        q[j - 1] = p.coeffs[j] + root * q[j]
+    return tuple(q), p.coeffs[0] + root * q[0]
+
+
 def bits(z):
     """The parts by repr: equal only for the same type and the same float
     bits, signed zeros included."""
@@ -180,6 +205,12 @@ def test_float_kernels_match_complexscalar_reference_bit_for_bit():
             assert bits(shift.base_value) == bits(base)
             assert shift.order == order
             assert [bits(c) for c in shift.quotient.coeffs] == [bits(c) for c in quotient]
+            quotient, remainder = reference_deflate(p, z)
+            got, got_remainder = p.deflate(z)
+            assert [bits(c) for c in got.coeffs] == [bits(c) for c in quotient]
+            assert bits(got_remainder) == bits(remainder)
+            # The cached complex coefficients are the coefficients' values.
+            assert repr(got.complex_coeffs()) == repr(tuple(complex(c.re, c.im) for c in quotient))
     assert far_points > 0  # the overflow trigger is covered as well
 
 
@@ -269,6 +300,41 @@ def test_taylor_shift_float_zero_threshold():
     # ... while the exact backend keeps every literal nonzero.
     p_exact = Polynomial.from_scalars([0, Fraction(1, 10**20), 1])
     assert p_exact.taylor_shift(ZERO).order == 1
+
+
+def test_order_one_certificate_is_sound():
+    # Whenever the O(n) test passes, the full float shift has order 1, and
+    # the two-row Horner pass gives the shift's b_0 and b_1 bit for bit.
+    rng = SplitMix64(31)
+    passed = inconclusive = 0
+    for degree in range(1, 41):
+        for _ in range(2):
+            p, roots = float_roots_poly(rng, degree)
+            if degree > 1:
+                # A close pair puts a critical point near its midpoint.
+                roots[1] = roots[0] + random_float_complex(rng, 1e-6)
+                p = Polynomial.from_roots(roots)
+            points = [root + random_float_complex(rng, 1e-9) for root in roots[:4]]
+            points += [(a + b) * 0.5 for a, b in zip(roots, roots[1:4])]
+            points += [random_float_complex(rng, 2.0**e) for e in (0, 2, 8, 16, 30)]
+            coeffs, norms = p.complex_coeffs(), p.coeff_norms()
+            for z in points:
+                w = complex(z.re, z.im)
+                b = shifted(coeffs, w)
+                value, slope = horner_slope(coeffs, w)
+                assert repr((value, slope)) == repr((b[0], b[1]))
+                if certifies_order_one(slope, norms, w):
+                    passed += 1
+                    assert shift_order(shift_norms(b), False) == 1
+                else:
+                    inconclusive += 1
+    assert passed > 600 and inconclusive > 0
+
+
+def test_order_one_certificate_fails_on_non_finite_bound():
+    p = Polynomial.from_scalars([1.0, 1.0, 1e300])
+    assert not certifies_order_one(1.0 + 0j, p.coeff_norms(), 1e300 + 0j)
+    assert not certifies_order_one(complex("nan"), p.coeff_norms(), 0j)
 
 
 def test_taylor_shift_degree_zero_rejected():

@@ -409,3 +409,22 @@ def test_every_returned_root_meets_the_residual_target(tol):
         bound = 2 * tol * poly.coeff_one_norm()
         assert all(r <= bound for r in result.residual_one_norms), degree
     assert solved >= 16
+
+
+def test_newton_rounds_build_no_taylor_shift(monkeypatch):
+    # A float round builds the O(n^2) shift only when its Newton step is
+    # not taken, so the shifts counted equal the descent steps not Newton's.
+    calls = []
+    shifted = solver.shifted
+
+    def counting(coeffs, w):
+        calls.append(w)
+        return shifted(coeffs, w)
+
+    monkeypatch.setattr(solver, "shifted", counting)
+    rng = SplitMix64(1)
+    roots = [C(random_box_float(rng, 2.0), random_box_float(rng, 2.0)) for _ in range(24)]
+    result = find_all_roots(Polynomial.from_roots(roots))
+    steps = [s for t in result.traces if t.phase == "descent" for s in t.steps]
+    assert len(calls) == sum(s.rule != "newton" for s in steps) > 0
+    assert len(steps) > 4 * len(calls)
