@@ -244,6 +244,9 @@ class Polynomial:
 
         so each doubling costs O(n) integer operations.  The result equals
         the first R with ``growth_bound_at(R) > f(0)``.
+
+        No solver code calls it: every descent starts at 0.  It stays as a
+        certified bound on where the minimum of f lies, checked by the tests.
         """
         n = self.degree
         if n < 1:

@@ -33,15 +33,19 @@ One descent round at a point z:
    the per-step certificate of ``certified_decrease_bound`` is a theorem
    only for a first trial at 1 and each next trial at half the last.
 
-Float backend only: when the line search exhausts its shrinks, the round
+In both backends, when the line search exhausts its shrinks, the round
 is retried at the next nonzero order.  That happens next to a critical
-point of P, where the detected order's coefficient is far too small for
-its descent term to rise above float granularity while the following
-term still dominates every trial step; treating the stranded coefficient
-as numerically zero and steering by the next order (typically the even-k
-quadrant direction, which leaves the axis the critical point sits on)
-restores a float-visible decrease.  The accepted step still has to lower
-the true objective, so monotonicity is never taken on faith.
+point of P, where the detected order's coefficient is so small that its
+descent term would lead only at steps shorter than the last trial (below
+float granularity, or past the exact shrink limit), while the following
+term dominates every trial step.  Treating the stranded coefficient as
+zero and steering by the next order (typically the even-k quadrant
+direction, which leaves the axis the critical point sits on) restores a
+visible decrease.  Exact descents need it as much as float ones: on a
+real polynomial alpha is real along the real axis, so the +-1 candidates
+win there and an exact descent from 0 creeps toward a real critical point
+until the shrinks run out.  The accepted step still has to lower the true
+objective, so monotonicity is never taken on faith.
 
 Descent stops when f(z) <= residual_tol^2 * scale^2 where scale is the
 coefficient one-norm of the polynomial, a scale-invariant way of saying
@@ -49,9 +53,10 @@ coefficient one-norm of the polynomial, a scale-invariant way of saying
 scale^2 leaves the float range, the test reads f(z) / (residual_tol *
 scale)^2 <= 1 instead, divided in an order that cannot overflow.
 
-The same round runs over exact rationals, where it certifies rather than
-approximates; rational step arithmetic squares coefficient sizes every
-iteration, so exact mode is gated to low degree and few iterations.
+The same round, less the Newton step, runs over exact rationals from
+exact 0, where it certifies rather than approximates; rational step
+arithmetic squares coefficient sizes every iteration, so exact mode is
+gated to low degree and few iterations.
 
 ``descend_to_root`` settles each descent's arithmetic and limits once, at
 entry (see ``SolverConfig`` for the limits).  The round is written once,
@@ -71,8 +76,8 @@ multiplies by x+0j, which changes signed zeros and inf*0.  The public
 ``taylor_shift``, ``pick_descent_direction`` and
 ``certified_decrease_bound`` wrap the same kernels at the API boundary.
 
-``descent_start`` picks where a descent begins: 0.0 for a float
-polynomial, and for an exact one the exact start scan ``_best_start``.
+``descent_start`` is the one origin rule of both backends: a descent
+begins at exact 0 on an exact polynomial and at 0.0 otherwise.
 
 ``find_all_roots`` peels roots off by synthetic deflation and polishes
 every root against the original polynomial.  The float polish is Newton
@@ -155,8 +160,8 @@ class SolverConfig:
     MAX_OUTER = 10_000 rounds, a polish POLISH_MAX_OUTER = 20 steps and
     an exact descent EXACT_MAX_OUTER = 64 rounds, and a line search
     shrinks the step (1, 1/2, ...) at most MAX_BACKTRACKS = 200 times per
-    order in floats, where running out moves the round to the next order,
-    and EXACT_MAX_BACKTRACKS = 64 times exact."""
+    order in floats and EXACT_MAX_BACKTRACKS = 64 times exact; running out
+    moves the round to the next order."""
 
     residual_tol: float = 1e-9
 
@@ -261,6 +266,12 @@ def certified_decrease_bound(shift: ShiftDecomposition, candidate: DirectionCand
     2r <= 1 failed sufficient decrease, which forces
     (3/2) |Re[alpha zeta^k]| < 2*(2r) M1 + (2r)^k M2 <= 4 r M1 + 2 r M2,
     hence -2 Re[alpha zeta^k] < (16/3) r M1 + (8/3) r M2 <= 3 r (2 M1 + M2).
+
+    The proof holds at the detected order only.  A step at an escalated
+    order k' (rule "escalated") takes M from Q = (b_k', b_k'+1, ...), which
+    leaves out the stranded coefficients b_k .. b_(k'-1); there the
+    certificate is not proved but replayed on the recorded step (exactly,
+    for exact traces) by the tests and the benchmark's trace checks.
     """
     return _decrease_bound(
         shift.base_value.one_norm(),
@@ -500,12 +511,9 @@ def _descent_round(
                 )
                 return step, trial, f_trial
             r = r * half
-        # Exhausted.  In the float backend the order's coefficient is
-        # numerically stranded (see module docstring); retry the round at
-        # the next nonzero order, dropping the stranded coefficients.
-        # Exact mode keeps literal orders.
-        if exact:
-            return None
+        # Exhausted: the order's coefficient is stranded (see module
+        # docstring); retry the round at the next nonzero order, dropping
+        # the stranded coefficients.
         order = next((j for j in range(order + 1, len(b)) if norms[j] != 0), None)
         if order is None:
             return None
@@ -534,27 +542,9 @@ def _newton_polish(
 
 
 def descent_start(poly: Polynomial) -> ComplexScalar:
-    """Where a descent on poly starts: 0.0 in floats, and the exact start
-    scan ``_best_start`` for an exact polynomial."""
-    return _best_start(poly) if poly.is_exact() else FLOAT_ORIGIN
-
-
-def _best_start(poly: Polynomial) -> ComplexScalar:
-    """Of 0 and the axis and corner points at the certified radius and four
-    halvings of it, in a fixed enumeration order, the point with the
-    smallest objective (the first on ties); exact polynomials only."""
-    radius = poly.growth_radius()
-    parts = [(0, 0)]
-    for m in range(5):
-        s = Fraction(radius, 2**m)
-        parts += [(s, 0), (-s, 0), (0, s), (0, -s), (s, s), (s, -s), (-s, s), (-s, -s)]
-    best = None
-    best_f = None
-    for re, im in parts:
-        f = square_modulus(poly.coeffs, ComplexScalar(re, im))
-        if best_f is None or f < best_f:
-            best, best_f = (re, im), f
-    return ComplexScalar(*best)
+    """Where a descent on poly starts, the one origin rule of both
+    backends: exact 0 for an exact polynomial, 0.0 otherwise."""
+    return ZERO if poly.is_exact() else FLOAT_ORIGIN
 
 
 def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> RootResult:
@@ -570,8 +560,7 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
     if poly.degree < 1:
         raise ValueError("degree must be >= 1")
     poly.require_finite()
-    exact = poly.is_exact()
-    if exact and poly.degree > EXACT_MAX_DEGREE:
+    if poly.is_exact() and poly.degree > EXACT_MAX_DEGREE:
         raise ValueError(
             f"exact solves are gated to degree <= {EXACT_MAX_DEGREE}, got {poly.degree}"
         )
@@ -582,8 +571,7 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
 
     zero_order = poly.trailing_zero_order()
     if zero_order:
-        zero = ZERO if exact else FLOAT_ORIGIN
-        roots.extend([zero] * zero_order)
+        roots.extend([descent_start(poly)] * zero_order)
     work = Polynomial(poly.coeffs[zero_order:])
 
     while work.degree >= 1:

@@ -8,13 +8,13 @@ shift by repeated synthetic division, the order by the float or exact
 rule, in floats at order 1 the Newton step zeta = -b0 conj(b1) / |b1|^2
 taken at r = 1 when it halves f, else alpha = conj(P(z)) * Q(0), the
 steepest candidate, the bound M, and the backtracking line search with its
-sufficient-decrease test, plus the float backend's retry at the next
-nonzero order.  The float polish is Newton steps on P and P' from a
-two-row Horner pass while f falls, checked against the residual target at
-the end.  Float descents start at 0; exact ones at the best point of the
-exact start scan.  The solver runs the same formulas on builtin
-``complex`` for float points; these tests pin that the iterates do not
-move.
+sufficient-decrease test, plus the retry at the next nonzero order when
+the line search runs out, in both backends.  The float polish is Newton
+steps on P and P' from a two-row Horner pass while f falls, checked
+against the residual target at the end.  Every descent starts at 0: exact
+0 for an exact polynomial, 0.0 otherwise.  The solver runs the same
+formulas on builtin ``complex`` for float points; these tests pin that
+the iterates do not move.
 """
 
 from fractions import Fraction
@@ -216,7 +216,7 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
                 r = r * shrink
             else:
                 higher = [j for j in range(order + 1, len(b)) if not b[j].is_zero]
-                if exact or not higher:
+                if not higher:
                     trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
                     raise ConvergenceError("exhausted", best_z, best_f, trace)
                 order = higher[0]
@@ -239,19 +239,7 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
 
 
 def ref_start(p):
-    if not p.is_exact():
-        return C(0.0, 0.0)
-    radius = p.growth_radius()
-    points = [C(0, 0)]
-    for m in range(5):
-        s = Fraction(radius, 2**m)
-        points += [C(s, 0), C(-s, 0), C(0, s), C(0, -s), C(s, s), C(s, -s), C(-s, s), C(-s, -s)]
-    best = best_f = None
-    for point in points:
-        f = ref_objective(p, point)
-        if best_f is None or f < best_f:
-            best, best_f = point, f
-    return best
+    return C(0, 0) if p.is_exact() else C(0.0, 0.0)
 
 
 def ref_find_all_roots(p, config, escalations):
@@ -304,23 +292,22 @@ def short(monkeypatch):
     monkeypatch.setattr(solver, "MAX_OUTER", 150)
 
 
-def test_best_start_matches_reference():
-    # Float descents start at 0; exact ones at the best point of the scan.
-    for p, _ in seeded_float_polys():
-        assert repr(descent_start(p)) == repr(ref_start(p)) == repr(C(0.0, 0.0))
-    rng = SplitMix64(63)
-    for degree in (1, 2, 3, 4, 2, 3):
-        roots = [
-            C(Fraction(int(rng.next_u64() % 9) - 4, 1 + int(rng.next_u64() % 3)), Fraction(1, 2))
-            for _ in range(degree)
-        ]
-        exact = Polynomial.from_roots(roots)
-        assert repr(descent_start(exact)) == repr(ref_start(exact))
-    exact = Polynomial.from_scalars([Fraction(1, 3), Fraction(-2, 7), 1])
-    assert repr(descent_start(exact)) == repr(ref_start(exact))
+def test_every_descent_starts_at_the_origin():
+    # Exact descents start at exact 0, also where the start scan this rule
+    # replaced picked a point away from it (2 for z^3 - 8, 2i for z^2 + 5),
+    # and float descents at 0.0.
+    for coeffs in ([-8, 0, 0, 1], [5, 0, 1], [Fraction(1, 3), Fraction(-2, 7), 1]):
+        traces = find_all_roots(Polynomial.from_scalars(coeffs)).traces
+        starts = {repr(t.start) for t in traces if t.phase == "descent"}
+        assert starts == {"ComplexScalar(re=0, im=0)"}
+    for p, _ in list(seeded_float_polys())[:8]:
+        assert repr(descent_start(p)) == repr(C(0.0, 0.0))
+        traces = find_all_roots(p).traces
+        starts = {repr(t.start) for t in traces if t.phase == "descent"}
+        assert starts == {"ComplexScalar(re=0.0, im=0.0)"}
 
 
-def test_descent_from_best_start_and_fixed_points_matches_reference(short):
+def test_descent_from_origin_and_fixed_points_matches_reference(short):
     kinds = set()
     for p, _ in seeded_float_polys():
         for start in (ref_start(p), C(1.5, -0.5), C(-0.0, 3.0)):
@@ -370,6 +357,7 @@ def test_fraction_polynomial_matches_reference():
         Polynomial.from_scalars([Fraction(1, 3), Fraction(-2, 7), 1]),
         Polynomial.from_scalars([Fraction(5, 3), 0, Fraction(-2, 7), Fraction(3, 2)]),
         Polynomial.from_scalars([1, 0, 0, 0, 1]),
+        Polynomial.from_scalars([2, Fraction(4, 3), 1]),
     ]
     for p in polys:
         # float points: complex kernels on the converted coefficients, with
@@ -379,6 +367,13 @@ def test_fraction_polynomial_matches_reference():
         # exact points: the same round in exact rationals
         for start in (C(Fraction(1, 2), Fraction(1, 3)), C(0, 0)):
             assert outcome(descend_to_root, p, start) == outcome(ref_descend, p, start)
+    # A whole exact solve whose first descent retries at the next order.
+    escalations = []
+    roots, traces = ref_find_all_roots(polys[-1], SolverConfig(), escalations)
+    assert escalations
+    result = find_all_roots(polys[-1])
+    assert repr(result.traces) == repr(tuple(traces))
+    assert repr(result.roots) == repr(tuple(sorted(roots, key=lambda z: (z.re, z.im))))
 
 
 def test_non_finite_objective_message_matches_reference():

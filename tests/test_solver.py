@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from fourops.poly import NonFiniteObjectiveError, Polynomial
 from fourops.sampling import SplitMix64, random_box_float
 from fourops.scalars import ComplexScalar, ZERO
 from fourops.solver import (
+    DEFAULT_CONFIG,
     EXACT_MAX_DEGREE,
     ConvergenceError,
     SolveError,
@@ -166,6 +168,47 @@ def test_find_all_roots_exact_quadratics():
     result = find_all_roots(P(1, 0, 1))  # roots -i, i; sorted by (re, im)
     assert result.roots == (C(0, -1), C(0, 1))
     assert result.residual_one_norms == (0, 0)
+
+
+def small_rational(rng):
+    return Fraction(int(rng.next_u64() % 11) - 5, 1 + int(rng.next_u64() % 3))
+
+
+def test_exact_solve_escalates_off_the_real_axis():
+    # Real coefficients make alpha real on the real axis, so an exact descent
+    # from 0 steers along it toward the real critical point -2/3 of
+    # z^2 + 4/3 z + 2 until the order-1 line search runs out; the round then
+    # retries at the next nonzero order, whose direction leaves the axis.
+    poly = P(2, Fraction(4, 3), 1)
+    result = find_all_roots(poly)
+    stop = (Fraction(DEFAULT_CONFIG.residual_tol) * poly.coeff_one_norm()) ** 2
+    assert all(poly.objective(z) <= stop for z in result.roots)
+    assert sorted(z.im > 0 for z in result.roots) == [False, True]
+    assert "escalated" in [step.rule for step in result.traces[0].steps]
+
+
+def test_exact_sweep_solves_with_monotone_certified_steps():
+    # Seeded monic degree 1-4 rational polynomials: every solve succeeds, and
+    # every step lowers f and meets the per-step certificate, checked in exact
+    # rationals, escalated steps included.
+    rng = SplitMix64(99)
+    rules = Counter()
+    backtracked = 0
+    for _ in range(40):
+        degree = 1 + int(rng.next_u64() % 4)
+        result = find_all_roots(P(*[small_rational(rng) for _ in range(degree)], 1))
+        for trace in result.traces:
+            fs = [step.f_value for step in trace.steps] + [trace.final_f]
+            assert all(isinstance(f, (int, Fraction)) for f in fs)
+            assert all(b < a for a, b in zip(fs, fs[1:]))
+            for step in trace.steps:
+                rules[step.rule] += 1
+                rate = directed_real_part(step)
+                assert rate < 0
+                if step.r_accepted < 1:
+                    backtracked += 1
+                    assert -2 * rate <= 3 * step.r_accepted * step.m_bound
+    assert rules["escalated"] > 0 and rules["quadrant"] > 0 and backtracked > 0
 
 
 def test_exact_degree_gate():
