@@ -11,7 +11,10 @@ where the leading correction term has even order.  It is verified here in
 two independent ways:
 
 * ``verify_lemma_direct``: compute zeta^k by repeated exact
-  multiplication and read off the signs.
+  multiplication and read off the signs.  Since
+  zeta = ((k^2 - 1) + 2k*i) / k^2, the multiplications run on the
+  Gaussian integer (k^2 - 1) + 2k*i, and zeta^k is its k-th power over
+  the one denominator k^(2k).
 
 * ``verify_lemma_termwise``: expand (1 + i/k)^(2k) binomially and group
   the alternating series so every group is sign-definite.  Writing
@@ -25,9 +28,12 @@ two independent ways:
 
       sum over odd j in [1, k-1] of ( C(2k,2j-1)/k^(2j-1) - C(2k,2j+1)/k^(2j+1) )
 
-  with every grouped pair positive.  The checker verifies each group's
-  sign, the closed-form head bound, and that both regrouped series sum
-  back exactly to the directly computed power.
+  with every grouped pair positive.  Every term C(2k,m)/k^m is the
+  integer C(2k,m)*k^(2k-m) over the common denominator k^(2k), so the
+  head, the groups and both sums are integer numerators until the
+  verdict is built.  The checker verifies each group's sign, the
+  closed-form head bound, and that both regrouped series sum back
+  exactly to the directly computed power.
 
 For odd k no special direction is needed: the four units 1, -1, i, -i
 already have k-th powers covering {1, -1, i, -i}, so one of them opposes
@@ -107,11 +113,21 @@ def _require_even_k(k: int) -> None:
 
 
 def estermann_zeta(k: int) -> DirectionCandidate:
-    """zeta = (1 + i/k)^2 with zeta^k attached, all exact; k even, k >= 2."""
+    """zeta = (1 + i/k)^2 with zeta^k attached, all exact; k even, k >= 2.
+
+    zeta = (re + im*i) / k^2 with the integers re = k^2 - 1 and im = 2k.
+    The Gaussian integer re + im*i is multiplied by itself k times, and
+    the result is put over k^(2k) only when the Fractions are built.
+    """
     _require_even_k(k)
-    base = ComplexScalar(1, Fraction(1, k))
-    zeta = base.pow_int(2)
-    return DirectionCandidate(zeta, zeta.pow_int(k))
+    re, im, den = k * k - 1, 2 * k, k * k
+    pow_re, pow_im, pow_den = 1, 0, den**k
+    for _ in range(k):
+        pow_re, pow_im = pow_re * re - pow_im * im, pow_re * im + pow_im * re
+    return DirectionCandidate(
+        ComplexScalar(Fraction(re, den), Fraction(im, den)),
+        ComplexScalar(Fraction(pow_re, pow_den), Fraction(pow_im, pow_den)),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +188,9 @@ def verify_lemma_termwise(k: int, table: BinomialTable | None = None) -> Termwis
     Checks, in exact rationals: the three-term head of the real part is
     below its closed-form bound -(3/2)*(5k-3)/(6k^2); every later real
     group is negative; every imaginary group is positive; and both
-    regrouped sums equal the directly multiplied power.
+    regrouped sums equal the directly multiplied power.  The sums are
+    formed on integer numerators over k^(2k), independently of the
+    direct power they are compared with.
     """
     _require_even_k(k)
     if table is None:
@@ -180,33 +198,30 @@ def verify_lemma_termwise(k: int, table: BinomialTable | None = None) -> Termwis
     elif table.m_max < 2 * k:
         raise ValueError(f"table holds rows up to {table.m_max}, need {2 * k}")
 
-    def c_over_k(j: int, power: int) -> Fraction:
-        return Fraction(table.value(2 * k, j), k**power)
+    # For m >= 1, term[m] / den = C(2k, m) / k^m, the m-th term of the expansion.
+    den = k ** (2 * k)
+    term = list(table.row(2 * k))
+    scale = 1
+    for m in range(2 * k, 0, -1):
+        term[m] *= scale
+        scale *= k
 
-    head = 1 - c_over_k(2, 2) + c_over_k(4, 4)
-    head_bound = -Fraction(3, 2) * Fraction(5 * k - 3, 6 * k * k)
+    head = den - term[2] + term[4]
+    real_groups = [-term[2 * j] + term[2 * j + 2] for j in range(3, k, 2)]
+    imag_groups = [term[2 * j - 1] - term[2 * j + 1] for j in range(1, k, 2)]
 
-    real_groups = tuple(
-        -c_over_k(2 * j, 2 * j) + c_over_k(2 * j + 2, 2 * j + 2)
-        for j in range(3, k, 2)
-    )
-    imag_groups = tuple(
-        c_over_k(2 * j - 1, 2 * j - 1) - c_over_k(2 * j + 1, 2 * j + 1)
-        for j in range(1, k, 2)
-    )
+    def over_den(n: int) -> Fraction:
+        return Fraction(n, den)
 
-    real_sum = head + sum(real_groups, Fraction(0))
-    imag_sum = sum(imag_groups, Fraction(0))
-    direct = estermann_zeta(k).zeta_pow_k
     return TermwiseVerdict(
         k=k,
-        head=head,
-        head_bound=head_bound,
-        real_groups=real_groups,
-        imag_groups=imag_groups,
-        real_sum=real_sum,
-        imag_sum=imag_sum,
-        direct=direct,
+        head=over_den(head),
+        head_bound=Fraction(3 * (3 - 5 * k), 12 * k * k),
+        real_groups=tuple(map(over_den, real_groups)),
+        imag_groups=tuple(map(over_den, imag_groups)),
+        real_sum=over_den(head + sum(real_groups)),
+        imag_sum=over_den(sum(imag_groups)),
+        direct=estermann_zeta(k).zeta_pow_k,
     )
 
 

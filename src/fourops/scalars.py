@@ -13,7 +13,12 @@ which satisfies, for all z and w,
 
 and is invariant under conjugation.  Those three facts are what the
 solver and the verification harnesses rely on, and ``check_norm_product``
-packages the two product inequalities as a checkable verdict.
+packages the two product inequalities as a checkable verdict.  For exact
+values it writes z = (a + b*i)/d and w = (c + e*i)/f over common
+denominators, so that both sides are integers over d*f:
+
+    one_norm(z) * one_norm(w) = (|a| + |b|) * (|c| + |e|) / (d*f)
+    one_norm(z * w)           = (|ac - be| + |ae + bc|) / (d*f)
 
 Two scalar backends share one algorithm.  Exact values carry ``int`` or
 ``fractions.Fraction`` components (Fraction keeps lowest terms and a
@@ -187,11 +192,36 @@ class NormProductVerdict:
         return product_bounds_hold(self.lower_bound, self.product_norm, self.upper_bound)
 
 
+def _over_common_denominator(z: ComplexScalar) -> tuple[int, int, int]:
+    """Integers (a, b, d) with z = (a + b*i)/d and d > 0; z exact."""
+    p, q = z.re.numerator, z.re.denominator
+    r, s = z.im.numerator, z.im.denominator
+    return p * s, r * q, q * s
+
+
 def check_norm_product(z: ComplexScalar, w: ComplexScalar) -> NormProductVerdict:
-    """Evaluate both taxicab product inequalities for the pair (z, w)."""
-    norms = z.one_norm() * w.one_norm()
-    half = norms / 2 if isinstance(norms, float) else Fraction(norms, 2)
-    return NormProductVerdict(half, (z * w).one_norm(), norms)
+    """Evaluate both taxicab product inequalities for the pair (z, w).
+
+    When every part is an int or a Fraction, both norms are computed on
+    the integer numerators over the common denominator d*f (see the module
+    docstring), and only the three verdict fields are built as Fractions.
+    Int parts give int norms, as int arithmetic always has.  A pair with a
+    float part is evaluated in float arithmetic.
+    """
+    parts = (z.re, z.im, w.re, w.im)
+    if any(isinstance(p, float) for p in parts):
+        norms = z.one_norm() * w.one_norm()
+        return NormProductVerdict(norms / 2, (z * w).one_norm(), norms)
+    a, b, d = _over_common_denominator(z)
+    c, e, f = _over_common_denominator(w)
+    norms = (abs(a) + abs(b)) * (abs(c) + abs(e))
+    product_norm = abs(a * c - b * e) + abs(a * e + b * c)
+    if all(isinstance(p, int) for p in parts):
+        return NormProductVerdict(Fraction(norms, 2), product_norm, norms)
+    df = d * f
+    return NormProductVerdict(
+        Fraction(norms, 2 * df), Fraction(product_norm, df), Fraction(norms, df)
+    )
 
 
 # ---------------------------------------------------------------------------

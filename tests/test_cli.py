@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -239,6 +240,12 @@ def test_verify_lemma_output(capsys):
     assert out[0] == "k=2 direct=OK termwise=OK re=-7/16 im=3/2"
     assert out[1] == "k=4 direct=OK termwise=OK re=-31679/65536 im=2415/2048"
     assert len(out) == 2
+
+
+def test_verify_lemma_output_up_to_200_is_pinned(capsys):
+    assert main(["verify-lemma", "--max-k", "200"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "627d8c1249f5b5ce78a3b6554d7847050703653acf2e45434f10ae7d0b5ef10e"
 
 
 def test_verify_lemma_odd_max_k_rounds_down(capsys):

@@ -5,6 +5,9 @@ import pytest
 
 from fourops.estermann import (
     BinomialTable,
+    DirectionCandidate,
+    DirectVerdict,
+    TermwiseVerdict,
     candidate_set,
     estermann_zeta,
     pick_descent_direction,
@@ -120,6 +123,67 @@ def test_termwise_holds_even_k_up_to_60():
         assert verdict.holds, k
         assert verdict.real_sum == verdict.direct.re
         assert verdict.imag_sum == verdict.direct.im
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Fraction implementations the integer forms replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_zeta(k):
+    zeta = C(1, Fraction(1, k)).pow_int(2)
+    return zeta, zeta.pow_int(k)
+
+
+def _reference_termwise(k, table):
+    def c_over_k(j, power):
+        return Fraction(table.value(2 * k, j), k**power)
+
+    head = 1 - c_over_k(2, 2) + c_over_k(4, 4)
+    real_groups = tuple(
+        -c_over_k(2 * j, 2 * j) + c_over_k(2 * j + 2, 2 * j + 2) for j in range(3, k, 2)
+    )
+    imag_groups = tuple(
+        c_over_k(2 * j - 1, 2 * j - 1) - c_over_k(2 * j + 1, 2 * j + 1) for j in range(1, k, 2)
+    )
+    return {
+        "head": head,
+        "head_bound": -Fraction(3, 2) * Fraction(5 * k - 3, 6 * k * k),
+        "real_groups": real_groups,
+        "imag_groups": imag_groups,
+        "real_sum": head + sum(real_groups, Fraction(0)),
+        "imag_sum": sum(imag_groups, Fraction(0)),
+    }
+
+
+ORACLE_KS = list(range(2, 101, 2)) + [200]
+
+
+@pytest.mark.parametrize("k", ORACLE_KS)
+def test_lemma_matches_fraction_reference(k):
+    table = BinomialTable(2 * k)
+    zeta, zeta_pow_k = _reference_zeta(k)
+    cand = estermann_zeta(k)
+    assert (cand.zeta, cand.zeta_pow_k) == (zeta, zeta_pow_k)
+    assert repr(cand) == repr(DirectionCandidate(zeta, zeta_pow_k))
+
+    direct = verify_lemma_direct(k)
+    assert direct == DirectVerdict(k, zeta_pow_k)
+    assert repr(direct) == repr(DirectVerdict(k, zeta_pow_k))
+
+    termwise = verify_lemma_termwise(k, table)
+    want = TermwiseVerdict(k=k, direct=zeta_pow_k, **_reference_termwise(k, table))
+    assert termwise == want
+    assert repr(termwise) == repr(want)
+    assert termwise.holds
+
+
+@pytest.mark.parametrize("k", [2, 4, 10, 40])
+def test_termwise_rejects_a_corrupted_binomial_row(k):
+    for j in (1, 2, 3, 4, k, 2 * k - 1, 2 * k):
+        table = BinomialTable(2 * k)
+        table._rows[2 * k][j] += 1
+        assert not verify_lemma_termwise(k, table).holds, (k, j)
 
 
 def test_termwise_table_too_small():

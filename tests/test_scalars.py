@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fourops.sampling import SplitMix64, random_exact_complex
+from fourops.sampling import SplitMix64, random_box_float, random_exact_complex
 from fourops.scalars import (
     ComplexScalar,
     I,
     ONE,
     ZERO,
+    NormProductVerdict,
     check_norm_product,
     complex_from_json,
     complex_to_json,
@@ -101,6 +102,60 @@ def test_norm_product_random_exact():
         z = random_exact_complex(rng)
         w = random_exact_complex(rng)
         assert check_norm_product(z, w).holds
+
+
+def _reference_norm_product(z, w):
+    """The norm-product verdict in ComplexScalar arithmetic on the parts
+    themselves, as it was computed before the integer form."""
+    norms = z.one_norm() * w.one_norm()
+    half = norms / 2 if isinstance(norms, float) else Fraction(norms, 2)
+    return NormProductVerdict(half, (z * w).one_norm(), norms)
+
+
+def _assert_matches_reference(z, w):
+    got, want = check_norm_product(z, w), _reference_norm_product(z, w)
+    assert got == want, (z, w)
+    assert repr(got) == repr(want), (z, w)
+
+
+def test_norm_product_matches_fraction_reference_on_random_pairs():
+    rng = SplitMix64(7)
+    for _ in range(5000):
+        _assert_matches_reference(random_exact_complex(rng), random_exact_complex(rng))
+
+
+F = Fraction
+NORM_EDGE_CASES = [
+    (ZERO, ZERO),
+    (ZERO, C(F(3, 7), F(-2, 5))),
+    (C(3, -4), C(-2, 5)),  # pure int
+    (C(7, 0), C(0, -9)),
+    (C(2**70, -(3**50)), C(-(5**30), 11)),
+    (C(3, F(1, 2)), C(F(-5, 6), 4)),  # int mixed with Fraction
+    (C(1, 1), C(F(2, 3), F(-1, 3))),
+    (C(F(3), F(-4)), C(F(2), F(5))),  # Fractions with denominator 1
+    (C(F(3), 4), C(2, F(-5))),
+    (C(F(-9, 4), F(-9, 4)), C(F(-1, 2**61), F(-(2**80), 3**40))),  # negative parts
+    (C(-1, -1), C(-1, 1)),
+]
+
+
+@pytest.mark.parametrize("z, w", NORM_EDGE_CASES)
+def test_norm_product_matches_fraction_reference_on_edge_cases(z, w):
+    _assert_matches_reference(z, w)
+    _assert_matches_reference(w, z)
+
+
+def test_norm_product_with_a_float_part_keeps_float_arithmetic():
+    v = check_norm_product(C(1.5, -2), C(F(1, 4), 3))
+    assert repr(v) == repr(NormProductVerdict(5.6875, 10.375, 11.375))
+    assert v.holds
+    rng = SplitMix64(8)
+    for _ in range(500):
+        z = C(random_box_float(rng, 1e3), random_exact_complex(rng).im)
+        w = random_exact_complex(rng)
+        _assert_matches_reference(z, w)
+        _assert_matches_reference(w, z)
 
 
 def test_mutated_product_norm_is_rejected():
