@@ -33,7 +33,7 @@ import sys
 from .estermann import BinomialTable, verify_lemma_direct, verify_lemma_termwise
 from .poly import NonFiniteObjectiveError, Polynomial
 from .sampling import SplitMix64, random_exact_complex
-from .scalars import ComplexScalar, ZERO, check_norm_product
+from .scalars import ComplexScalar, ZERO, check_norm_product, conjugation_keeps_norm
 from .solver import (
     DEFAULT_CONFIG,
     ConvergenceError,
@@ -190,11 +190,11 @@ def cmd_check_norms(args) -> int:
     failures = 0
 
     def check(z, w) -> bool:
-        verdict = check_norm_product(z, w)
-        conj_ok = (
-            z.conj().one_norm() == z.one_norm() and w.conj().one_norm() == w.one_norm()
+        return (
+            check_norm_product(z, w).holds
+            and conjugation_keeps_norm(z)
+            and conjugation_keeps_norm(w)
         )
-        return verdict.holds and conj_ok
 
     if not check(ZERO, ZERO):  # forced degenerate case
         failures += 1

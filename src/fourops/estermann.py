@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ComplexScalar
+from .scalars import ComplexScalar, gaussian_parts
 
 __all__ = [
     "BinomialTable",
@@ -267,23 +267,50 @@ def _scored_candidates(k: int, float_mode: bool) -> tuple:
     return tuple(scored)
 
 
+@lru_cache(maxsize=None)
+def _gaussian_candidates(k: int) -> tuple:
+    """(candidate, u, v, |u| + |v|, q) with zeta^k = (u + v*i)/q for each
+    exact candidate of order k."""
+    scored = []
+    for c in candidate_set(k):
+        u, v, q = gaussian_parts(c.zeta_pow_k)
+        scored.append((c, u, v, abs(u) + abs(v), q))
+    return tuple(scored)
+
+
 def steepest_candidate(alpha, k: int):
     """``pick_descent_direction`` for alpha of the kernels' value types:
     builtin complex (float mode, among the candidates rounded to float) or
     an exact ComplexScalar.  Returns (candidate, zeta in alpha's type,
-    Re[alpha * zeta^k])."""
+    Re[alpha * zeta^k]).
+
+    When alpha has a Fraction part every ratio is a rational, and the pick
+    runs on integers: with alpha = (a + b*i)/d and zeta^k = (u + v*i)/q,
+    the ratio is (au - bv) / (d * one_norm(alpha) * (|u| + |v|)), so
+    candidates compare by cross-multiplying n = au - bv against
+    m = |u| + |v|.  An int alpha keeps the ratios as computed, which for an
+    int numerator is a float quotient."""
     re, im = alpha.real, alpha.imag
     if re == 0 and im == 0:
         raise ValueError("alpha must be nonzero (the point is already a root)")
-    alpha_norm = abs(re) + abs(im)
-    best = None
-    best_ratio = None
-    best_num = None
-    for candidate, zeta, zk, zk_norm in _scored_candidates(k, type(alpha) is complex):
-        num = re * zk.real - im * zk.imag  # Re[alpha * zeta^k]
-        ratio = num / (alpha_norm * zk_norm)
-        if best_ratio is None or ratio < best_ratio:
-            best, best_ratio, best_num = (candidate, zeta), ratio, num
+    if type(alpha) is not complex and (isinstance(re, Fraction) or isinstance(im, Fraction)):
+        a, b, d = gaussian_parts(alpha)
+        best = None
+        for candidate, u, v, m, q in _gaussian_candidates(k):
+            n = a * u - b * v
+            if best is None or n * best_m < best_n * m:
+                best, best_n, best_m, best_q = candidate, n, m, q
+        best, best_num = (best, best.zeta), Fraction(best_n, d * best_q)
+    else:
+        alpha_norm = abs(re) + abs(im)
+        best = None
+        best_ratio = None
+        best_num = None
+        for candidate, zeta, zk, zk_norm in _scored_candidates(k, type(alpha) is complex):
+            num = re * zk.real - im * zk.imag  # Re[alpha * zeta^k]
+            ratio = num / (alpha_norm * zk_norm)
+            if best_ratio is None or ratio < best_ratio:
+                best, best_ratio, best_num = (candidate, zeta), ratio, num
     if best_num >= 0:
         raise ArithmeticError(
             f"no descent direction for alpha={ComplexScalar(re, im)!r}, k={k}; "

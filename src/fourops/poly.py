@@ -23,8 +23,16 @@ complex + and x with the same IEEE expressions as
 arithmetic does, so both types give the same bits.  No complex division
 and no ``abs()`` of a complex value occur, so there is no square root and
 no Smith division.  The methods convert back to ``ComplexScalar`` only
-for what they return; the solver's descent round calls the kernels
+for what they return; the solver's float descent round calls the kernels
 directly.
+
+The solver's exact descent rounds run on Gaussian integers instead: the
+coefficients as integers over one denominator (``gaussian_coeffs``), the
+shift on integer numerators (``gaussian_shifted``) and the objective
+along a ray as an integer over a known power-of-two scale
+(``gaussian_ray``, ``ray_square_modulus``), so no trial builds a
+Fraction.  They give the values of the ``ComplexScalar`` kernels, which
+stay for the methods and as the rational reference.
 """
 
 from __future__ import annotations
@@ -78,6 +86,8 @@ class Polynomial:
     )
     # The one-norm of each coefficient (``coeff_norms``).
     _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # The exact coefficients as Gaussian integers (``gaussian_coeffs``).
+    _gaussian: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
@@ -172,6 +182,21 @@ class Polynomial:
             coeffs = tuple(complex(c.re, c.im) for c in self.coeffs)
             object.__setattr__(self, "_complex", coeffs)
         return coeffs
+
+    def gaussian_coeffs(self) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
+        """The exact coefficients as Gaussian integers over one denominator,
+        cached on first use: (re, im, D, ints) with a_j = (re[j] + im[j] i)/D,
+        D > 0 the least common denominator of every part, and ints whether
+        every part is an ``int``."""
+        gaussian = self._gaussian
+        if gaussian is None:
+            parts = [part for c in self.coeffs for part in (c.re, c.im)]
+            denom = math.lcm(*(part.denominator for part in parts))
+            scaled = [part.numerator * (denom // part.denominator) for part in parts]
+            ints = all(isinstance(part, int) for part in parts)
+            gaussian = (tuple(scaled[0::2]), tuple(scaled[1::2]), denom, ints)
+            object.__setattr__(self, "_gaussian", gaussian)
+        return gaussian
 
     def kernel_args(self, z: ComplexScalar) -> tuple[tuple, complex | ComplexScalar, bool]:
         """The kernels' coefficients, z in their value type, and whether the
@@ -390,6 +415,58 @@ def shifted(coeffs, z) -> list:
             acc = b[j] + z * acc
             b[j] = acc
     return b
+
+
+def gaussian_shifted(re, im, x: int, y: int, d: int) -> tuple[list, list]:
+    """``shifted`` on Gaussian integers, for a_j = (re[j] + im[j] i)/D
+    (``Polynomial.gaussian_coeffs``) and z = (x + iy)/d: the real and
+    imaginary parts of B with b_j = B_j / (D d^(n-j)).  B_j starts as
+    A_j d^(n-j), and each round of synthetic division does
+    B_j <- B_j + (x + iy) B_(j+1)."""
+    n = len(re) - 1
+    b_re, b_im = list(re), list(im)
+    scale = d
+    for j in range(n - 1, -1, -1):
+        b_re[j] *= scale
+        b_im[j] *= scale
+        scale *= d
+    for i in range(n):
+        acc_re, acc_im = b_re[n], b_im[n]
+        for j in range(n - 1, i - 1, -1):
+            acc_re, acc_im = b_re[j] + x * acc_re - y * acc_im, b_im[j] + x * acc_im + y * acc_re
+            b_re[j], b_im[j] = acc_re, acc_im
+    return b_re, b_im
+
+
+def gaussian_ray(b_re, b_im, d: int, px: int, py: int, pd: int) -> tuple[list, list]:
+    """P(z + t zeta) on the ray of zeta = (px + py i)/pd, from the parts of B
+    and the d of ``gaussian_shifted``: the parts of
+    C_j = B_j (px + py i)^j d^j pd^(n-j), so that
+    P(z + t zeta) = sum_j C_j t^j / K with K = D d^n pd^n."""
+    n = len(b_re) - 1
+    step_re, step_im = px * d, py * d
+    pow_re, pow_im = 1, 0  # ((px + py i) d)^j
+    scales = [1]
+    for _ in range(n):
+        scales.append(scales[-1] * pd)
+    c_re, c_im = [], []
+    for j in range(n + 1):
+        scale = scales[n - j]
+        c_re.append((b_re[j] * pow_re - b_im[j] * pow_im) * scale)
+        c_im.append((b_re[j] * pow_im + b_im[j] * pow_re) * scale)
+        pow_re, pow_im = pow_re * step_re - pow_im * step_im, pow_re * step_im + pow_im * step_re
+    return c_re, c_im
+
+
+def ray_square_modulus(c_re, c_im, b: int) -> int:
+    """|sum_j C_j 2^(b(n-j))|^2 for the C of ``gaussian_ray``: the objective
+    at t = 2^-b on the ray, times K^2 2^(2bn).  Horner in 2^b from C_0 up,
+    by shifts."""
+    acc_re, acc_im = c_re[0], c_im[0]
+    for j in range(1, len(c_re)):
+        acc_re = (acc_re << b) + c_re[j]
+        acc_im = (acc_im << b) + c_im[j]
+    return acc_re * acc_re + acc_im * acc_im
 
 
 def shift_norms(b) -> list:

@@ -43,6 +43,7 @@ above) and never take ``abs()`` of one, which is a square root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -57,6 +58,8 @@ __all__ = [
     "I",
     "NormProductVerdict",
     "check_norm_product",
+    "conjugation_keeps_norm",
+    "gaussian_parts",
     "product_bounds_hold",
     "scalar_to_json",
     "scalar_from_json",
@@ -192,8 +195,20 @@ class NormProductVerdict:
         return product_bounds_hold(self.lower_bound, self.product_norm, self.upper_bound)
 
 
+def gaussian_parts(z) -> tuple[int, int, int]:
+    """Integers (x, y, d) with z = (x + y*i)/d for an exact z, d > 0 the
+    least common denominator of its parts.  The exact solver's iterates
+    have parts that share most of their denominator, so the lcm keeps its
+    integers far smaller than the product would."""
+    re, im = z.real, z.imag
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
 def _over_common_denominator(z: ComplexScalar) -> tuple[int, int, int]:
-    """Integers (a, b, d) with z = (a + b*i)/d and d > 0; z exact."""
+    """Integers (a, b, d) with z = (a + b*i)/d and d > 0; z exact.  d is
+    the product of the part denominators: for the unrelated denominators
+    of sampled values the lcm's gcd costs more than it saves."""
     p, q = z.re.numerator, z.re.denominator
     r, s = z.im.numerator, z.im.denominator
     return p * s, r * q, q * s
@@ -222,6 +237,15 @@ def check_norm_product(z: ComplexScalar, w: ComplexScalar) -> NormProductVerdict
     return NormProductVerdict(
         Fraction(norms, 2 * df), Fraction(product_norm, df), Fraction(norms, df)
     )
+
+
+def conjugation_keeps_norm(z: ComplexScalar) -> bool:
+    """one_norm(conj(z)) == one_norm(z) for an exact z, compared on integer
+    numerators: with z = (a + b*i)/d and conj(z) = (c + e*i)/f over common
+    denominators, (|a| + |b|) * f == (|c| + |e|) * d."""
+    a, b, d = _over_common_denominator(z)
+    c, e, f = _over_common_denominator(z.conj())
+    return (abs(a) + abs(b)) * f == (abs(c) + abs(e)) * d
 
 
 # ---------------------------------------------------------------------------

@@ -54,17 +54,21 @@ scale^2 leaves the float range, the test reads f(z) / (residual_tol *
 scale)^2 <= 1 instead, divided in an order that cannot overflow.
 
 The same round, less the Newton step, runs over exact rationals from
-exact 0, where it certifies rather than approximates; rational step
-arithmetic squares coefficient sizes every iteration, so exact mode is
-gated to low degree and few iterations.
+exact 0, where it certifies rather than approximates.  Its arithmetic is
+on Gaussian integers (below), but the sizes of the rational iterates grow
+with every accepted step, so exact mode stays gated to low degree and few
+rounds as a bound on the cost of one exact solve.
 
 ``descend_to_root`` settles each descent's arithmetic and limits once, at
-entry (see ``SolverConfig`` for the limits).  The round is written once,
-on the value type that ``Polynomial.kernel_args`` picks for the start:
-``ComplexScalar`` when both the polynomial and the start are exact, else
+entry (see ``SolverConfig`` for the limits), and with them the round's
+shift and line search: ``_ExactShift`` when both the polynomial and the
+start are exact (``Polynomial.kernel_args``), else ``_FloatShift`` on
 builtin ``complex``, with any int or Fraction part of the start rounded
-to float.  The shift, the order, alpha, the direction, the bound M and
-every line-search trial stay in that type, through the kernels of
+to float.  ``_descent_round`` is the one round of both: steering,
+escalation, the rule and the ``DescentStep``.
+
+In floats the shift, the order, alpha, the direction, the bound M and
+every line-search trial stay in ``complex``, through the kernels of
 ``poly`` and ``estermann.steepest_candidate``; only the ``DescentStep``
 and the accepted point are built as ``ComplexScalar`` (the round returns
 the trial point in its own type; the Newton step divides float parts by
@@ -75,6 +79,20 @@ z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
 multiplies by x+0j, which changes signed zeros and inf*0.  The public
 ``taylor_shift``, ``pick_descent_direction`` and
 ``certified_decrease_bound`` wrap the same kernels at the API boundary.
+
+Exact rounds write the coefficients as Gaussian integers A_j over one
+denominator D (``Polynomial.gaussian_coeffs``) and z as Z/d, so the shift
+is b_j = B_j / (D d^(n-j)) with B on integers (``poly.gaussian_shifted``).
+Along a direction zeta the line search reads f(z + r*zeta) off the same
+shift: at r = 2^-b it is an integer over K^2 * 2^(2bn)
+(``poly.gaussian_ray`` and ``poly.ray_square_modulus``), and both parts of
+the sufficient decrease compare integers, with no Fraction and no gcd per
+trial.  alpha, the direction pick and M are integer products as well.  A
+Fraction is built only for what the accepted ``DescentStep`` records
+(alpha, M, r, the accepted point and its f), and an int where every
+coefficient part and both parts of z are ints, which is what
+``ComplexScalar`` arithmetic gives; so the exact iterates and records are
+those of the rational arithmetic, type for type.
 
 ``descent_start`` is the one origin rule of both backends: a descent
 begins at exact 0 on an exact polynomial and at 0.0 otherwise.
@@ -103,14 +121,17 @@ from .poly import (
     Polynomial,
     ShiftDecomposition,
     certifies_order_one,
+    gaussian_ray,
+    gaussian_shifted,
     horner_slope,
+    ray_square_modulus,
     shift_norms,
     shift_order,
     shifted,
     square_modulus,
     value_square_modulus,
 )
-from .scalars import ComplexScalar, Scalar, ZERO
+from .scalars import ComplexScalar, Scalar, ZERO, gaussian_parts
 
 __all__ = [
     "SolverConfig",
@@ -134,8 +155,8 @@ MAX_OUTER = 10_000
 # The most halvings of the step in one line search at one order.
 MAX_BACKTRACKS = 200
 
-# Exact (rational) descent squares denominators at every objective
-# evaluation, so it is only offered for small instances.
+# Exact rounds run on Gaussian integers, but the rational iterates grow
+# with every accepted step: the gate bounds the cost of an exact solve.
 EXACT_MAX_DEGREE = 4
 EXACT_MAX_OUTER = 64
 EXACT_MAX_BACKTRACKS = 64
@@ -336,6 +357,11 @@ def descend_to_root(
         tol = Fraction(tol)
         max_outer = min(max_outer, EXACT_MAX_OUTER)
         max_backtracks = EXACT_MAX_BACKTRACKS
+    # The round's shift and line search: on Gaussian integers when exact,
+    # else on the kernels' complex values.
+    shift_type, shift_coeffs = (
+        (_ExactShift, poly.gaussian_coeffs()) if exact else (_FloatShift, coeffs)
+    )
     scale = poly.coeff_one_norm()
     stop = tol * tol * scale * scale
     # Past the float range, test f / (tol*scale)^2 <= 1 instead.
@@ -367,7 +393,9 @@ def descend_to_root(
             if newton is not None:
                 step, w, f_z, value, slope = newton
             else:
-                accepted = _descent_round(coeffs, z, w, f_z, exact, max_backtracks, certified)
+                shift = shift_type(shift_coeffs, w)
+                newton_left = not exact and not certified
+                accepted = _descent_round(shift, z, f_z, max_backtracks, newton_left)
                 if accepted is None:
                     failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
                     break
@@ -450,71 +478,179 @@ def _newton_round(
     return None
 
 
-def _descent_round(
-    coeffs: tuple,
-    z: ComplexScalar,
-    w,
-    f_z,
-    exact: bool,
-    max_backtracks: int,
-    newton_tried: bool,
-) -> tuple[DescentStep, complex | ComplexScalar, Scalar] | None:
-    """One descent round at z (see the module docstring) from the Taylor
-    shift, on the kernels' coefficients and w, which is z in their value
-    type; in floats at order 1 it tries Newton first unless
-    ``newton_tried``.  Returns the step, the accepted point in that type
-    and its objective, or None when the line search exhausts its shrinks
-    at every usable order."""
-    make = type(w)
-    b = shifted(coeffs, w)
-    norms = shift_norms(b)
-    order = detected = shift_order(norms, exact)
-    z_re, z_im = w.real, w.imag
-    if order == 1 and not exact and not newton_tried:
-        newton = _newton_round(coeffs, z, w, f_z, b[0], b[1])
-        if newton is not None:
-            return newton[:3]
-    # The step schedule r = 1, 1/2, 1/4, ... in the backend's number type.
-    first_r, half = (Fraction(1), Fraction(1, 2)) if exact else (1.0, 0.5)
-    while True:
-        alpha = b[0].conjugate() * b[order]
-        candidate, zeta, rate = steepest_candidate(alpha, order)
-        descent_rate = -rate  # |Re[alpha zeta^k]|
+class _FloatShift:
+    """A float round's Taylor shift at w on the kernels' complex
+    coefficients, with its line search."""
+
+    __slots__ = ("coeffs", "w", "b", "norms", "order")
+
+    def __init__(self, coeffs: tuple, w: complex):
+        self.coeffs, self.w = coeffs, w
+        self.b = shifted(coeffs, w)
+        self.norms = shift_norms(self.b)
+        self.order = shift_order(self.norms, False)
+
+    def alpha(self, k: int) -> complex:
+        """conj(P(w)) * b_k."""
+        return self.b[0].conjugate() * self.b[k]
+
+    def bound(self, k: int, zeta_norm) -> Scalar:
+        """M of ``certified_decrease_bound`` at order k."""
+        return _decrease_bound(self.norms[0], self.norms[k:], zeta_norm, k)
+
+    def search(self, zeta: complex, k: int, descent_rate, f_z, max_backtracks: int):
+        """The line search along zeta at order k over r = 1, 1/2, ...:
+        (backtracks, r, the trial point, f there) for the first trial with
+        sufficient decrease, or None."""
+        coeffs, z_re, z_im = self.coeffs, self.w.real, self.w.imag
         zeta_re, zeta_im = zeta.real, zeta.imag
-        r = first_r
+        r = 1.0
         for backtracks in range(max_backtracks + 1):
-            # z + zeta * r, built from its parts.
-            trial = make(z_re + zeta_re * r, z_im + zeta_im * r)
+            # w + zeta * r, built from its parts.
+            trial = complex(z_re + zeta_re * r, z_im + zeta_im * r)
             f_trial = square_modulus(coeffs, trial)
-            # Sufficient decrease, written multiplicatively so exact integer
-            # coefficients stay exact.  The strict part guards against zero
-            # steps once r underflows.
-            if f_trial < f_z and 2 * (f_z - f_trial) >= r**order * descent_rate:
-                if order != detected:
-                    rule = "escalated"
-                elif order % 2 == 0 and zeta_im != 0:
-                    rule = "quadrant"
-                else:
-                    rule = "unit"
-                step = DescentStep(
-                    z=z,
-                    f_value=f_z,
-                    order=order,
-                    alpha=ComplexScalar(alpha.real, alpha.imag),
-                    direction=candidate,
-                    r_accepted=r,
-                    backtracks=backtracks,
-                    m_bound=_decrease_bound(
-                        norms[0], norms[order:], candidate.zeta.one_norm(), order
-                    ),
-                    rule=rule,
-                )
-                return step, trial, f_trial
-            r = r * half
+            # The strict part guards against zero steps once r underflows.
+            if f_trial < f_z and 2 * (f_z - f_trial) >= r**k * descent_rate:
+                return backtracks, r, trial, f_trial
+            r = r * 0.5
+        return None
+
+
+class _ExactShift:
+    """An exact round's Taylor shift at z on Gaussian integers
+    (``gaussian_shifted``), with its line search and bound on integers.
+    ``norms`` holds the numerators |Re B_j| + |Im B_j|, which are 0 exactly
+    when b_j is.
+
+    Values leave as ints where every coefficient part and both parts of z
+    are ints, and as Fractions otherwise, the types that the same
+    arithmetic on ``ComplexScalar`` gives."""
+
+    __slots__ = ("point", "denom", "b_re", "b_im", "ints", "norms", "order")
+
+    def __init__(self, gaussian: tuple, z: ComplexScalar):
+        re, im, self.denom, ints = gaussian
+        # z = (x + iy)/d.
+        x, y, d = self.point = gaussian_parts(z)
+        # b_j = B_j / (D d^(n-j)).
+        self.b_re, self.b_im = gaussian_shifted(re, im, x, y, d)
+        self.ints = ints and isinstance(z.re, int) and isinstance(z.im, int)
+        self.norms = [abs(u) + abs(v) for u, v in zip(self.b_re, self.b_im)]
+        self.order = next(j for j in range(1, len(re)) if self.norms[j])
+
+    def alpha(self, k: int) -> ComplexScalar:
+        """conj(P(z)) * b_k."""
+        re0, im0, rek, imk = self.b_re[0], self.b_im[0], self.b_re[k], self.b_im[k]
+        re, im = re0 * rek + im0 * imk, re0 * imk - im0 * rek
+        if self.ints:
+            return ComplexScalar(re, im)
+        n, d = len(self.norms) - 1, self.point[2]
+        den = self.denom * self.denom * d ** (2 * n - k)
+        return ComplexScalar(Fraction(re, den), Fraction(im, den))
+
+    def bound(self, k: int, zeta_norm) -> Scalar:
+        """``_decrease_bound`` at order k on integers.  With nu_j the
+        numerators in ``norms``, zeta_norm = u/q, t = d u, m = n - k and
+        G = D d^m, the quotient's norms are nu_(k+i) d^i / G, and
+        R = sum over 1 <= i <= m of nu_(k+i) t^(i-1) q^(m-i) gives
+        M1 = nu_0 u^(k+1) d R / (D d^n G q^n) and
+        M2 = (u^k (t R + nu_k q^m))^2 / (G q^n)^2."""
+        nu, d, denom = self.norms, self.point[2], self.denom
+        n = len(nu) - 1
+        u, q = zeta_norm.numerator, zeta_norm.denominator
+        t = d * u
+        rest, q_pow = 0, 1
+        for j in range(n, k, -1):
+            rest = rest * t + nu[j] * q_pow
+            q_pow *= q
+        m1 = nu[0] * u ** (k + 1) * d * rest
+        m2 = u**k * (rest * t + nu[k] * q_pow)
+        m2 *= m2
+        g_qn = denom * d ** (n - k) * q**n
+        base = denom * d**n
+        num = 2 * m1 * g_qn + m2 * base
+        if self.ints and isinstance(zeta_norm, int):
+            return num
+        return Fraction(num, base * g_qn * g_qn)
+
+    def search(self, zeta: ComplexScalar, k: int, descent_rate, f_z, max_backtracks: int):
+        """``_FloatShift.search`` on integers.  With C and K of
+        ``gaussian_ray``, f(z) = S_0 / K^2 for S_0 = |C_0|^2 and
+        |Re[alpha zeta^k]| = E / K^2 for E = -Re[conj(C_0) C_k], so
+        descent_rate and f_z are not read.  At r = 2^-b the trial has
+        f = S / (K^2 2^(2bn)) with S from ``ray_square_modulus``, and with
+        G = S_0 2^(2bn) the sufficient decrease reads S < G and
+        2 (G - S) >= E 2^(b(2n - k)): no Fraction and no gcd per trial."""
+        x, y, d = self.point
+        px, py, pd = gaussian_parts(zeta)
+        c_re, c_im = gaussian_ray(self.b_re, self.b_im, d, px, py, pd)
+        n = len(c_re) - 1
+        s0 = c_re[0] * c_re[0] + c_im[0] * c_im[0]
+        e = -(c_re[0] * c_re[k] + c_im[0] * c_im[k])
+        for backtracks in range(max_backtracks + 1):
+            s = ray_square_modulus(c_re, c_im, backtracks)
+            g = s0 << (2 * n * backtracks)
+            if s < g and (g - s) << 1 >= e << (backtracks * (2 * n - k)):
+                break
+        else:
+            return None
+        # z + zeta * 2^-b over d pd 2^b, and f over (K 2^(bn))^2.
+        den = (d * pd) << backtracks
+        trial = ComplexScalar(
+            Fraction((x * pd << backtracks) + px * d, den),
+            Fraction((y * pd << backtracks) + py * d, den),
+        )
+        k_scaled = (self.denom * (d * pd) ** n) << (n * backtracks)
+        return backtracks, Fraction(1, 1 << backtracks), trial, Fraction(s, k_scaled * k_scaled)
+
+
+def _descent_round(
+    shift: _FloatShift | _ExactShift,
+    z: ComplexScalar,
+    f_z,
+    max_backtracks: int,
+    newton: bool,
+) -> tuple[DescentStep, complex | ComplexScalar, Scalar] | None:
+    """One descent round at z (see the module docstring) from its Taylor
+    shift; a float round at order 1 tries Newton first when ``newton``.
+    Returns the step, the accepted point in the shift's value type and its
+    objective, or None when the line search exhausts its shrinks at every
+    usable order."""
+    norms = shift.norms
+    order = detected = shift.order
+    if order == 1 and newton:
+        b = shift.b
+        taken = _newton_round(shift.coeffs, z, shift.w, f_z, b[0], b[1])
+        if taken is not None:
+            return taken[:3]
+    while True:
+        alpha = shift.alpha(order)
+        candidate, zeta, rate = steepest_candidate(alpha, order)
+        found = shift.search(zeta, order, -rate, f_z, max_backtracks)
+        if found is not None:
+            backtracks, r, trial, f_trial = found
+            if order != detected:
+                rule = "escalated"
+            elif order % 2 == 0 and zeta.imag != 0:
+                rule = "quadrant"
+            else:
+                rule = "unit"
+            step = DescentStep(
+                z=z,
+                f_value=f_z,
+                order=order,
+                alpha=ComplexScalar(alpha.real, alpha.imag),
+                direction=candidate,
+                r_accepted=r,
+                backtracks=backtracks,
+                m_bound=shift.bound(order, candidate.zeta.one_norm()),
+                rule=rule,
+            )
+            return step, trial, f_trial
         # Exhausted: the order's coefficient is stranded (see module
         # docstring); retry the round at the next nonzero order, dropping
         # the stranded coefficients.
-        order = next((j for j in range(order + 1, len(b)) if norms[j] != 0), None)
+        order = next((j for j in range(order + 1, len(norms)) if norms[j] != 0), None)
         if order is None:
             return None
 

@@ -270,6 +270,18 @@ def test_check_norms_output(capsys):
     assert out[1] == "all product inequalities and conjugation identities hold"
 
 
+def test_check_norms_catches_a_broken_conjugate(capsys, monkeypatch):
+    # A conj that doubles the imaginary part changes the one-norm of every
+    # value with a nonzero imaginary part: the integer identity check fails.
+    monkeypatch.setattr(ComplexScalar, "conj", lambda self: ComplexScalar(self.re, -2 * self.im))
+    assert main(["check-norms", "--samples", "50", "--seed", "7"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "pairs checked: 50 random + 1 forced zero (seed 7)",
+        "FAIL: 50 pairs violated the norm inequalities",
+    ]
+
+
 def test_check_norms_deterministic(capsys):
     assert main(["check-norms", "--samples", "200", "--seed", "3"]) == 0
     first = capsys.readouterr().out

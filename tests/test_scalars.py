@@ -13,6 +13,8 @@ from fourops.scalars import (
     check_norm_product,
     complex_from_json,
     complex_to_json,
+    conjugation_keeps_norm,
+    gaussian_parts,
     product_bounds_hold,
     scalar_from_json,
     scalar_to_json,
@@ -179,6 +181,35 @@ def test_conjugation_norm_identity_random():
     for _ in range(2000):
         z = random_exact_complex(rng)
         assert z.conj().one_norm() == z.one_norm()
+
+
+def test_integer_conjugation_check_matches_fraction_one_norms(monkeypatch):
+    # The identity as check-norms runs it, on integer numerators, agrees
+    # with the Fraction one-norms, for the true conjugate and for images
+    # whose one-norm differs from z's by a little or not at all.
+    rng = SplitMix64(14)
+    values = [ZERO, C(3, -4), C(Fraction(-1, 3), 0), C(0, Fraction(5, 7))]
+    values += [random_exact_complex(rng) for _ in range(500)]
+    for z in values:
+        assert conjugation_keeps_norm(z)
+    conj = ComplexScalar.conj
+    for z in values:
+        for image in (C(z.im, z.re), C(-z.re, z.im), C(z.re, z.im + Fraction(1, 10**9))):
+            monkeypatch.setattr(ComplexScalar, "conj", lambda self: image)
+            assert conjugation_keeps_norm(z) == (image.one_norm() == z.one_norm())
+        monkeypatch.setattr(ComplexScalar, "conj", conj)
+
+
+def test_gaussian_parts_use_the_least_common_denominator():
+    assert gaussian_parts(C(Fraction(1, 6), Fraction(-3, 4))) == (2, -9, 12)
+    assert gaussian_parts(C(-5, 0)) == (-5, 0, 1)
+    assert gaussian_parts(C(Fraction(7), Fraction(0))) == (7, 0, 1)
+    rng = SplitMix64(15)
+    for _ in range(500):
+        z = random_exact_complex(rng)
+        x, y, d = gaussian_parts(z)
+        assert C(Fraction(x, d), Fraction(y, d)) == z
+        assert d == math.lcm(z.re.denominator, z.im.denominator)
 
 
 def test_triangle_inequality_random():
