@@ -30,10 +30,12 @@ two independent ways:
 
   with every grouped pair positive.  Every term C(2k,m)/k^m is the
   integer C(2k,m)*k^(2k-m) over the common denominator k^(2k), so the
-  head, the groups and both sums are integer numerators until the
-  verdict is built.  The checker verifies each group's sign, the
-  closed-form head bound, and that both regrouped series sum back
-  exactly to the directly computed power.
+  head, the groups, both sums and the directly multiplied power are
+  integer numerators over one positive denominator.  The checker
+  verifies each group's sign, the closed-form head bound, and that both
+  regrouped series sum back exactly to the directly computed power, all
+  by comparing those integers; the verdict's Fraction fields are built
+  on first read.
 
 For odd k no special direction is needed: the four units 1, -1, i, -i
 already have k-th powers covering {1, -1, i, -i}, so one of them opposes
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ComplexScalar, gaussian_parts
+from .scalars import ComplexScalar, _LazyFields, gaussian_parts
 
 __all__ = [
     "BinomialTable",
@@ -112,6 +114,16 @@ def _require_even_k(k: int) -> None:
         raise ValueError(f"k must be an even integer >= 2, got {k!r}")
 
 
+def _zeta_power(k: int) -> tuple[int, int]:
+    """Integers (pow_re, pow_im) with zeta^k = (pow_re + pow_im*i) / k^(2k):
+    the Gaussian integer (k^2 - 1) + 2k*i multiplied by itself k times."""
+    re, im = k * k - 1, 2 * k
+    pow_re, pow_im = 1, 0
+    for _ in range(k):
+        pow_re, pow_im = pow_re * re - pow_im * im, pow_re * im + pow_im * re
+    return pow_re, pow_im
+
+
 def estermann_zeta(k: int) -> DirectionCandidate:
     """zeta = (1 + i/k)^2 with zeta^k attached, all exact; k even, k >= 2.
 
@@ -121,9 +133,8 @@ def estermann_zeta(k: int) -> DirectionCandidate:
     """
     _require_even_k(k)
     re, im, den = k * k - 1, 2 * k, k * k
-    pow_re, pow_im, pow_den = 1, 0, den**k
-    for _ in range(k):
-        pow_re, pow_im = pow_re * re - pow_im * im, pow_re * im + pow_im * re
+    pow_re, pow_im = _zeta_power(k)
+    pow_den = den**k
     return DirectionCandidate(
         ComplexScalar(Fraction(re, den), Fraction(im, den)),
         ComplexScalar(Fraction(pow_re, pow_den), Fraction(pow_im, pow_den)),
@@ -145,32 +156,85 @@ def verify_lemma_direct(k: int) -> DirectVerdict:
     return DirectVerdict(k, estermann_zeta(k).zeta_pow_k)
 
 
-@dataclass(frozen=True, slots=True)
-class TermwiseVerdict:
-    k: int
-    head: Fraction
-    head_bound: Fraction
-    real_groups: tuple[Fraction, ...]
-    imag_groups: tuple[Fraction, ...]
-    real_sum: Fraction
-    imag_sum: Fraction
-    direct: ComplexScalar
+class TermwiseVerdict(_LazyFields):
+    """Outcome of the termwise check of the quadrant lemma for one k.
+
+    ``verify_lemma_termwise`` keeps the integers it computed as
+    ``_parts`` = (k, den, head, real_groups, imag_groups, real_sum,
+    imag_sum, pow_re, pow_im), every one after den a numerator over
+    den = k^(2k): the head, the real and imaginary groups, their sums and
+    the directly multiplied power zeta^k.  The predicates compare those
+    integers; the Fraction fields are built when first read.
+    """
+
+    __slots__ = __match_args__ = (
+        "k",
+        "head",
+        "head_bound",
+        "real_groups",
+        "imag_groups",
+        "real_sum",
+        "imag_sum",
+        "direct",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        head: Fraction,
+        head_bound: Fraction,
+        real_groups: tuple[Fraction, ...],
+        imag_groups: tuple[Fraction, ...],
+        real_sum: Fraction,
+        imag_sum: Fraction,
+        direct: ComplexScalar,
+    ):
+        self._set_fields(
+            (k, head, head_bound, real_groups, imag_groups, real_sum, imag_sum, direct)
+        )
+        object.__setattr__(self, "_parts", None)
+
+    def _field_values(self) -> tuple:
+        k, den, head, real_groups, imag_groups, real_sum, imag_sum, pow_re, pow_im = self._parts
+
+        def over_den(n: int) -> Fraction:
+            return Fraction(n, den)
+
+        return (
+            k,
+            over_den(head),
+            Fraction(3 * (3 - 5 * k), 12 * k * k),
+            tuple(map(over_den, real_groups)),
+            tuple(map(over_den, imag_groups)),
+            over_den(real_sum),
+            over_den(imag_sum),
+            ComplexScalar(over_den(pow_re), over_den(pow_im)),
+        )
 
     @property
     def head_ok(self) -> bool:
-        return self.head < 0 and self.head <= self.head_bound
+        if self._parts is None:
+            return self.head < 0 and self.head <= self.head_bound
+        k, den, head = self._parts[:3]
+        # head / den <= 3(3 - 5k)/(12k^2), multiplied through by 12k^2 * den > 0.
+        return head < 0 and head * 12 * k * k <= 3 * (3 - 5 * k) * den
 
     @property
     def real_groups_ok(self) -> bool:
-        return all(g < 0 for g in self.real_groups)
+        groups = self.real_groups if self._parts is None else self._parts[3]
+        return all(g < 0 for g in groups)
 
     @property
     def imag_groups_ok(self) -> bool:
-        return all(g > 0 for g in self.imag_groups)
+        groups = self.imag_groups if self._parts is None else self._parts[4]
+        return all(g > 0 for g in groups)
 
     @property
     def matches_direct(self) -> bool:
-        return self.real_sum == self.direct.re and self.imag_sum == self.direct.im
+        if self._parts is None:
+            return self.real_sum == self.direct.re and self.imag_sum == self.direct.im
+        real_sum, imag_sum, pow_re, pow_im = self._parts[5:]
+        return real_sum == pow_re and imag_sum == pow_im
 
     @property
     def holds(self) -> bool:
@@ -207,21 +271,11 @@ def verify_lemma_termwise(k: int, table: BinomialTable | None = None) -> Termwis
         scale *= k
 
     head = den - term[2] + term[4]
-    real_groups = [-term[2 * j] + term[2 * j + 2] for j in range(3, k, 2)]
-    imag_groups = [term[2 * j - 1] - term[2 * j + 1] for j in range(1, k, 2)]
-
-    def over_den(n: int) -> Fraction:
-        return Fraction(n, den)
-
-    return TermwiseVerdict(
-        k=k,
-        head=over_den(head),
-        head_bound=Fraction(3 * (3 - 5 * k), 12 * k * k),
-        real_groups=tuple(map(over_den, real_groups)),
-        imag_groups=tuple(map(over_den, imag_groups)),
-        real_sum=over_den(head + sum(real_groups)),
-        imag_sum=over_den(sum(imag_groups)),
-        direct=estermann_zeta(k).zeta_pow_k,
+    real_groups = tuple(-term[2 * j] + term[2 * j + 2] for j in range(3, k, 2))
+    imag_groups = tuple(term[2 * j - 1] - term[2 * j + 1] for j in range(1, k, 2))
+    return TermwiseVerdict._from_parts(
+        (k, den, head, real_groups, imag_groups, head + sum(real_groups), sum(imag_groups))
+        + _zeta_power(k)
     )
 
 

@@ -20,6 +20,10 @@ denominators, so that both sides are integers over d*f:
     one_norm(z) * one_norm(w) = (|a| + |b|) * (|c| + |e|) / (d*f)
     one_norm(z * w)           = (|ac - be| + |ae + bc|) / (d*f)
 
+``holds`` multiplies both inequalities through by the positive 2*d*f and
+compares the integers; the verdict's three Fraction fields are built on
+first read.
+
 Two scalar backends share one algorithm.  Exact values carry ``int`` or
 ``fractions.Fraction`` components (Fraction keeps lowest terms and a
 positive denominator on its own).  Float values carry ordinary binary
@@ -44,7 +48,7 @@ above) and never take ``abs()`` of one, which is a square root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -181,18 +185,93 @@ def product_bounds_hold(lower: Scalar, value: Scalar, upper: Scalar) -> bool:
     return lower <= value <= upper
 
 
-@dataclass(frozen=True, slots=True)
-class NormProductVerdict:
-    """Outcome of checking one_norm(z)*one_norm(w)/2 <= one_norm(z*w)
-    <= one_norm(z)*one_norm(w) for a concrete pair."""
+class _LazyFields:
+    """Immutable verdict whose fields are built from integer parts on first
+    read.
 
-    lower_bound: Scalar
-    product_norm: Scalar
-    upper_bound: Scalar
+    A subclass lists its public fields as its ``__slots__`` and
+    ``__match_args__``, and keeps the integers its check computed in the
+    ``_parts`` slot, or None when the public constructor was given the
+    fields themselves.  Its predicates decide on ``_parts`` when it is
+    set.  The first read of a field (``==``, ``hash`` and ``repr`` read
+    every field) calls the subclass's ``_field_values()`` and stores the
+    results.  Equality, hashing and the repr are those of a frozen
+    dataclass with the same fields.
+    """
+
+    __slots__ = ("_parts",)
+
+    @classmethod
+    def _from_parts(cls, parts):
+        verdict = object.__new__(cls)
+        object.__setattr__(verdict, "_parts", parts)
+        return verdict
+
+    def _set_fields(self, values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: a field not yet built.
+        if name not in self.__match_args__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._set_fields(self._field_values())
+        return object.__getattribute__(self, name)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class NormProductVerdict(_LazyFields):
+    """Outcome of checking one_norm(z)*one_norm(w)/2 <= one_norm(z*w)
+    <= one_norm(z)*one_norm(w) for a concrete pair.
+
+    ``check_norm_product`` on an exact pair keeps the integers
+    (norms, product_norm, d*f), where the three fields are
+    norms/(2*d*f), product_norm/(d*f) and norms/(d*f), and d*f is None
+    for int parts (fields norms/2, product_norm and norms).  ``holds``
+    multiplies through by 2*d*f > 0 and compares integers.
+    """
+
+    __slots__ = __match_args__ = ("lower_bound", "product_norm", "upper_bound")
+
+    def __init__(self, lower_bound: Scalar, product_norm: Scalar, upper_bound: Scalar):
+        self._set_fields((lower_bound, product_norm, upper_bound))
+        object.__setattr__(self, "_parts", None)
+
+    def _field_values(self) -> tuple:
+        norms, product_norm, df = self._parts
+        if df is None:
+            return Fraction(norms, 2), product_norm, norms
+        return Fraction(norms, 2 * df), Fraction(product_norm, df), Fraction(norms, df)
 
     @property
     def holds(self) -> bool:
-        return product_bounds_hold(self.lower_bound, self.product_norm, self.upper_bound)
+        if self._parts is None:
+            return product_bounds_hold(self.lower_bound, self.product_norm, self.upper_bound)
+        norms, product_norm, _ = self._parts
+        return product_bounds_hold(norms, 2 * product_norm, 2 * norms)
 
 
 def gaussian_parts(z) -> tuple[int, int, int]:
@@ -219,24 +298,27 @@ def check_norm_product(z: ComplexScalar, w: ComplexScalar) -> NormProductVerdict
 
     When every part is an int or a Fraction, both norms are computed on
     the integer numerators over the common denominator d*f (see the module
-    docstring), and only the three verdict fields are built as Fractions.
-    Int parts give int norms, as int arithmetic always has.  A pair with a
-    float part is evaluated in float arithmetic.
+    docstring), and ``holds`` is decided on those integers; the verdict's
+    fields are built as Fractions when first read.  Int parts give int
+    norms, as int arithmetic always has.  A pair with a float part is
+    evaluated in float arithmetic.
     """
-    parts = (z.re, z.im, w.re, w.im)
-    if any(isinstance(p, float) for p in parts):
+    zr, zi, wr, wi = z.re, z.im, w.re, w.im
+    if (
+        isinstance(zr, float)
+        or isinstance(zi, float)
+        or isinstance(wr, float)
+        or isinstance(wi, float)
+    ):
         norms = z.one_norm() * w.one_norm()
         return NormProductVerdict(norms / 2, (z * w).one_norm(), norms)
     a, b, d = _over_common_denominator(z)
     c, e, f = _over_common_denominator(w)
     norms = (abs(a) + abs(b)) * (abs(c) + abs(e))
     product_norm = abs(a * c - b * e) + abs(a * e + b * c)
-    if all(isinstance(p, int) for p in parts):
-        return NormProductVerdict(Fraction(norms, 2), product_norm, norms)
-    df = d * f
-    return NormProductVerdict(
-        Fraction(norms, 2 * df), Fraction(product_norm, df), Fraction(norms, df)
-    )
+    if isinstance(zr, int) and isinstance(zi, int) and isinstance(wr, int) and isinstance(wi, int):
+        return NormProductVerdict._from_parts((norms, product_norm, None))
+    return NormProductVerdict._from_parts((norms, product_norm, d * f))
 
 
 def conjugation_keeps_norm(z: ComplexScalar) -> bool:

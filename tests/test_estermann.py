@@ -1,8 +1,11 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from fourops import estermann, scalars
 from fourops.estermann import (
     BinomialTable,
     DirectionCandidate,
@@ -15,7 +18,7 @@ from fourops.estermann import (
     verify_lemma_termwise,
 )
 from fourops.sampling import SplitMix64, random_nonzero_exact_complex
-from fourops.scalars import ComplexScalar
+from fourops.scalars import I, ONE, ComplexScalar, check_norm_product
 
 
 def C(re, im=0):
@@ -184,6 +187,91 @@ def test_termwise_rejects_a_corrupted_binomial_row(k):
         table = BinomialTable(2 * k)
         table._rows[2 * k][j] += 1
         assert not verify_lemma_termwise(k, table).holds, (k, j)
+
+
+class _NoFraction:
+    """Stands in for Fraction where a test pins that none is built."""
+
+    def __new__(cls, *args):
+        raise AssertionError("a Fraction was built")
+
+
+def _reference_termwise_verdict(k, table):
+    return TermwiseVerdict(k=k, direct=_reference_zeta(k)[1], **_reference_termwise(k, table))
+
+
+def test_termwise_holds_builds_no_fraction(monkeypatch):
+    # holds is decided on integer numerators over k^(2k); the Fraction
+    # fields are built when first read, and then match the reference.
+    table = BinomialTable(400)
+    monkeypatch.setattr(estermann, "Fraction", _NoFraction)
+    monkeypatch.setattr(scalars, "Fraction", _NoFraction)
+    verdicts = {k: verify_lemma_termwise(k, table) for k in (2, 4, 40, 200)}
+    assert all(v.holds for v in verdicts.values())
+    monkeypatch.undo()
+    for k, got in verdicts.items():
+        want = _reference_termwise_verdict(k, table)
+        for name in want.__match_args__:
+            assert getattr(got, name) == getattr(want, name), (k, name)
+        assert got == want and repr(got) == repr(want)
+
+
+TERMWISE_PREDICATES = ("head_ok", "real_groups_ok", "imag_groups_ok", "matches_direct", "holds")
+
+
+def _integer_and_fraction_predicates(verdict):
+    """The verdict's predicates (read first) and those of a verdict built
+    by the constructor from its fields, which compares Fractions."""
+    got = [getattr(verdict, p) for p in TERMWISE_PREDICATES]
+    built = TermwiseVerdict(**{n: getattr(verdict, n) for n in verdict.__match_args__})
+    return got, [getattr(built, p) for p in TERMWISE_PREDICATES]
+
+
+def test_termwise_head_bound_edge_at_k2():
+    # At k = 2 the head meets its bound with equality.  C(4, 4) enters the
+    # head numerator with weight 1, so a bump of +1 (-1) puts the head one
+    # unit over k^(2k) above (below) the bound.
+    for bump, head_ok in ((0, True), (1, False), (-1, True)):
+        table = BinomialTable(4)
+        table._rows[4][4] += bump
+        verdict = verify_lemma_termwise(2, table)
+        got, built = _integer_and_fraction_predicates(verdict)
+        assert verdict.head == verdict.head_bound + Fraction(bump, 16)
+        assert got[0] == head_ok, bump
+        assert got == built, bump
+
+
+@pytest.mark.parametrize("k", [2, 4, 10, 40])
+def test_integer_termwise_predicates_agree_with_the_fraction_fields(k):
+    for j in (None, 1, 2, 3, 4, k, 2 * k - 1, 2 * k):
+        table = BinomialTable(2 * k)
+        if j is not None:
+            table._rows[2 * k][j] += 1
+        got, built = _integer_and_fraction_predicates(verify_lemma_termwise(k, table))
+        assert got == built, (k, j)
+        assert got[-1] == (j is None), (k, j)
+
+
+def test_termwise_verdict_behaves_as_a_frozen_dataclass():
+    table = BinomialTable(12)
+    built = _reference_termwise_verdict(4, table)
+    assert hash(verify_lemma_termwise(4, table)) == hash(built)
+    assert verify_lemma_termwise(4, table) == built
+    assert built == verify_lemma_termwise(4, table)
+    assert verify_lemma_termwise(4, table) != verify_lemma_termwise(6, table)
+    norm = check_norm_product(ONE, I)
+    assert verify_lemma_termwise(4, table) != norm and norm != verify_lemma_termwise(4, table)
+    assert verify_lemma_direct(4) != verify_lemma_termwise(4, table)
+    lazy = verify_lemma_termwise(4, table)
+    for verdict in (lazy, built):
+        for name in (*built.__match_args__, "holds", "other"):
+            with pytest.raises(AttributeError):
+                setattr(verdict, name, None)
+        with pytest.raises(AttributeError):
+            del verdict.head
+    for verdict in (verify_lemma_termwise(4, table), built):
+        assert pickle.loads(pickle.dumps(verdict)) == verdict
+        assert copy.copy(verdict) == verdict == copy.deepcopy(verdict)
 
 
 def test_termwise_table_too_small():

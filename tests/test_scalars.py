@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from fourops.sampling import SplitMix64, random_box_float, random_exact_complex
+from fourops import scalars
+from fourops.sampling import SplitMix64, random_box_float, random_exact_complex, random_fraction
 from fourops.scalars import (
     ComplexScalar,
     I,
@@ -174,6 +177,77 @@ def test_mutated_product_norm_is_rejected():
         norms = z.one_norm() * w.one_norm()
         assert not product_bounds_hold(norms / 2, Fraction(49, 100) * norms, norms)
     assert checked >= 190
+
+
+class _NoFraction:
+    """Stands in for Fraction where a test pins that none is built."""
+
+    def __new__(cls, *args):
+        raise AssertionError("a Fraction was built")
+
+
+def test_norm_product_holds_builds_no_fraction(monkeypatch):
+    # holds is decided on integer numerators; the Fraction fields are built
+    # when first read, and then match the Fraction reference.
+    rng = SplitMix64(15)
+    pairs = [(random_exact_complex(rng), random_exact_complex(rng)) for _ in range(300)]
+    pairs += [(C(random_fraction(rng), 3), C(-2, random_fraction(rng))) for _ in range(100)]
+    ints = [rng.next_u64() % 2001 - 1000 for _ in range(400)]
+    pairs += [(C(a, b), C(c, e)) for a, b, c, e in zip(*[iter(ints)] * 4)]
+    pairs += NORM_EDGE_CASES
+    monkeypatch.setattr(scalars, "Fraction", _NoFraction)
+    verdicts = [check_norm_product(z, w) for z, w in pairs]
+    assert all(v.holds for v in verdicts)
+    monkeypatch.undo()
+    for (z, w), got in zip(pairs, verdicts):
+        want = _reference_norm_product(z, w)
+        assert (got.lower_bound, got.product_norm, got.upper_bound) == (
+            want.lower_bound,
+            want.product_norm,
+            want.upper_bound,
+        )
+        assert got == want and repr(got) == repr(want), (z, w)
+
+
+@pytest.mark.parametrize("df", [None, 1, 6, 2**61 - 1])
+@pytest.mark.parametrize("norms", [0, 1, 4, 7, 10, 2**70 + 1])
+def test_integer_norm_predicate_agrees_with_the_fraction_fields_at_the_bounds(norms, df):
+    # At 2p = n (or the nearest p above it for odd n) and at p = n, and one
+    # numerator unit past each, the integer test of the parts
+    # (norms, product_norm, d*f) and the comparison of the Fraction fields
+    # built from them agree.
+    half = -(-norms // 2)
+    for product_norm, want in ((half - 1, False), (half, True), (norms, True), (norms + 1, False)):
+        lazy = NormProductVerdict._from_parts((norms, product_norm, df))
+        holds = lazy.holds
+        built = NormProductVerdict(lazy.lower_bound, lazy.product_norm, lazy.upper_bound)
+        assert holds == built.holds == want, (norms, product_norm, df)
+
+
+def test_norm_verdict_behaves_as_a_frozen_dataclass():
+    z, w = C(3, F(1, 2)), C(F(-5, 6), 4)
+    built = _reference_norm_product(z, w)
+    assert hash(check_norm_product(z, w)) == hash(built)
+    assert check_norm_product(z, w) == built
+    assert built == check_norm_product(z, w)
+    assert check_norm_product(z, w) != check_norm_product(w, C(1, 1))
+    lazy = check_norm_product(z, w)
+    assert lazy != (built.lower_bound, built.product_norm, built.upper_bound)
+    for verdict in (lazy, built):
+        for name in ("lower_bound", "product_norm", "upper_bound", "holds", "other"):
+            with pytest.raises(AttributeError):
+                setattr(verdict, name, 0)
+        with pytest.raises(AttributeError):
+            del verdict.lower_bound
+    for verdict in (check_norm_product(z, w), built):
+        assert pickle.loads(pickle.dumps(verdict)) == verdict
+        assert copy.copy(verdict) == verdict == copy.deepcopy(verdict)
+    # A float subclass still takes the float path.
+    class F64(float):
+        pass
+
+    v = check_norm_product(C(F64(1.5), -2), C(F(1, 4), 3))
+    assert repr(v) == repr(NormProductVerdict(5.6875, 10.375, 11.375))
 
 
 def test_conjugation_norm_identity_random():
