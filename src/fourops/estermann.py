@@ -46,11 +46,10 @@ alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ComplexScalar, _LazyFields, gaussian_parts
+from .scalars import ComplexScalar, _Frozen, _LazyFields, _setattr, gaussian_parts
 
 __all__ = [
     "BinomialTable",
@@ -98,12 +97,14 @@ class BinomialTable:
         return tuple(self._rows[m])
 
 
-@dataclass(frozen=True, slots=True)
-class DirectionCandidate:
+class DirectionCandidate(_Frozen):
     """A step direction zeta together with its precomputed k-th power."""
 
-    zeta: ComplexScalar
-    zeta_pow_k: ComplexScalar
+    __slots__ = __match_args__ = ("zeta", "zeta_pow_k")
+
+    def __init__(self, zeta: ComplexScalar, zeta_pow_k: ComplexScalar):
+        _setattr(self, "zeta", zeta)
+        _setattr(self, "zeta_pow_k", zeta_pow_k)
 
     def to_float(self) -> "DirectionCandidate":
         return DirectionCandidate(self.zeta.to_float(), self.zeta_pow_k.to_float())
@@ -141,10 +142,16 @@ def estermann_zeta(k: int) -> DirectionCandidate:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class DirectVerdict:
-    k: int
-    power: ComplexScalar
+class DirectVerdict(_Frozen):
+    """Outcome of the direct check of the quadrant lemma for one k: the
+    power zeta^k, multiplied out exactly, and whether it lies in the open
+    second quadrant."""
+
+    __slots__ = __match_args__ = ("k", "power")
+
+    def __init__(self, k: int, power: ComplexScalar):
+        _setattr(self, "k", k)
+        _setattr(self, "power", power)
 
     @property
     def holds(self) -> bool:
@@ -192,7 +199,7 @@ class TermwiseVerdict(_LazyFields):
         self._set_fields(
             (k, head, head_bound, real_groups, imag_groups, real_sum, imag_sum, direct)
         )
-        object.__setattr__(self, "_parts", None)
+        _setattr(self, "_parts", None)
 
     def _field_values(self) -> tuple:
         k, den, head, real_groups, imag_groups, real_sum, imag_sum, pow_re, pow_im = self._parts

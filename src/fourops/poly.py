@@ -38,11 +38,10 @@ stay for the methods and as the rational reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import ComplexScalar, ZERO, complex_from_json, complex_to_json
+from .scalars import ComplexScalar, ZERO, _Frozen, _setattr, complex_from_json, complex_to_json
 
 # A shifted coefficient counts as vanished (float backend only) when its
 # one_norm is at most this fraction of the largest shifted coefficient
@@ -60,43 +59,46 @@ class NonFiniteObjectiveError(ArithmeticError):
     raises: see ``square_modulus``."""
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftDecomposition:
+class ShiftDecomposition(_Frozen):
     """P rewritten around a point z0:  P(z0 + h) = base_value + h^order * quotient(h).
 
     The quotient's constant term is nonzero, so ``order`` is the lowest
     power of h that actually moves the value away from ``base_value``.
     """
 
-    base_value: ComplexScalar
-    order: int
-    quotient: "Polynomial"
+    __slots__ = __match_args__ = ("base_value", "order", "quotient")
+
+    def __init__(self, base_value: ComplexScalar, order: int, quotient: "Polynomial"):
+        _setattr(self, "base_value", base_value)
+        _setattr(self, "order", order)
+        _setattr(self, "quotient", quotient)
 
     def evaluate_at(self, h: ComplexScalar) -> ComplexScalar:
         """base_value + h^order * quotient(h), for reconstruction checks."""
         return self.base_value + h.pow_int(self.order) * self.quotient.evaluate(h)
 
 
-@dataclass(frozen=True, slots=True)
-class Polynomial:
-    coeffs: tuple[ComplexScalar, ...]
-    # The coefficients as builtin complex values (``complex_coeffs``).
-    _complex: tuple[complex, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # The one-norm of each coefficient (``coeff_norms``).
-    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # The exact coefficients as Gaussian integers (``gaussian_coeffs``).
-    _gaussian: tuple | None = field(default=None, init=False, repr=False, compare=False)
+class Polynomial(_Frozen):
+    """A polynomial by its ``coeffs``.  Three caches, filled on first use,
+    are left out of ``==``, ``hash`` and the repr: the coefficients as
+    builtin complex values (``complex_coeffs``), their one-norms
+    (``coeff_norms``) and the exact coefficients as Gaussian integers
+    (``gaussian_coeffs``)."""
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    __slots__ = ("coeffs", "_complex", "_norms", "_gaussian")
+    __match_args__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[ComplexScalar]):
+        coeffs = tuple(coeffs)
         while len(coeffs) > 1 and coeffs[-1].is_zero:
             coeffs = coeffs[:-1]
         # After the trim only the last coefficient can be the zero value.
         if not coeffs or coeffs[-1].is_zero:
             raise ValueError("the zero polynomial is not representable")
-        object.__setattr__(self, "coeffs", coeffs)
+        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "_complex", None)
+        _setattr(self, "_norms", None)
+        _setattr(self, "_gaussian", None)
 
     # -- construction helpers ------------------------------------------------
 
@@ -140,7 +142,7 @@ class Polynomial:
         norms = self._norms
         if norms is None:
             norms = tuple(c.one_norm() for c in self.coeffs)
-            object.__setattr__(self, "_norms", norms)
+            _setattr(self, "_norms", norms)
         return norms
 
     def coeff_one_norm(self):
@@ -180,7 +182,7 @@ class Polynomial:
         coeffs = self._complex
         if coeffs is None:
             coeffs = tuple(complex(c.re, c.im) for c in self.coeffs)
-            object.__setattr__(self, "_complex", coeffs)
+            _setattr(self, "_complex", coeffs)
         return coeffs
 
     def gaussian_coeffs(self) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
@@ -195,7 +197,7 @@ class Polynomial:
             scaled = [part.numerator * (denom // part.denominator) for part in parts]
             ints = all(isinstance(part, int) for part in parts)
             gaussian = (tuple(scaled[0::2]), tuple(scaled[1::2]), denom, ints)
-            object.__setattr__(self, "_gaussian", gaussian)
+            _setattr(self, "_gaussian", gaussian)
         return gaussian
 
     def kernel_args(self, z: ComplexScalar) -> tuple[tuple, complex | ComplexScalar, bool]:
@@ -336,7 +338,7 @@ class Polynomial:
         values = [ComplexScalar(v.real, v.imag) for v in q[:-1]]
         values.append(self.coeffs[n])
         quotient = Polynomial(tuple(values))
-        object.__setattr__(quotient, "_complex", tuple(q))
+        _setattr(quotient, "_complex", tuple(q))
         return quotient, ComplexScalar(remainder.real, remainder.imag)
 
     # -- serialization --------------------------------------------------------------

@@ -43,12 +43,19 @@ CPython evaluates those with the same IEEE expressions as
 bits.  The kernels never divide complex values (CPython's complex
 division is Smith's method, which rounds differently from the formula
 above) and never take ``abs()`` of one, which is a square root.
+
+The package's value types (``ComplexScalar`` here, ``Polynomial``,
+``SolverConfig``, ``RootResult`` and the rest) are hand-written frozen
+``__slots__`` classes on ``_Frozen``, which gives them the immutability,
+``==``, ``hash``, repr and pickling of a frozen slotted dataclass at no
+import cost.  The two exact verdicts build on its subclass
+``_LazyFields``, whose fields are built from the verdict's integers on
+first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -76,8 +83,68 @@ def _is_exact(value: Scalar) -> bool:
     return not isinstance(value, float)
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexScalar:
+# Sets a slot of a frozen value; bound once, because the hot constructors
+# (``ComplexScalar``, ``DescentStep``) call it for every field.
+_setattr = object.__setattr__
+
+
+def _frozen_error(message: str) -> AttributeError:
+    # Imported here, on the error path only: the module costs milliseconds
+    # at every start, and nothing else in the package needs it.
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in constructor order, as its
+    ``__slots__`` and ``__match_args__``, and its ``__init__`` sets them
+    with ``_setattr``.  The base gives it what a frozen slotted dataclass
+    with those fields has: assigning or deleting any name raises
+    ``FrozenInstanceError``, ``==`` compares the tuples of field values of
+    two instances of the same class (NotImplemented for any other class),
+    ``hash`` is the hash of that tuple, the repr is
+    ``Name(field=value, ...)`` over the fields not listed in
+    ``_repr_omits``, and ``__reduce__`` rebuilds an instance through its
+    constructor, so pickle and ``copy`` work.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _repr_omits: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise _frozen_error(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen_error(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self.__match_args__
+            if name not in self._repr_omits
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ComplexScalar(_Frozen):
     """An immutable complex number with explicit real and imaginary parts.
 
     This is the type of every value the API takes and returns.  The builtin
@@ -88,8 +155,11 @@ class ComplexScalar:
     as ordinary Python arithmetic would.
     """
 
-    re: Scalar
-    im: Scalar
+    __slots__ = __match_args__ = ("re", "im")
+
+    def __init__(self, re: Scalar, im: Scalar):
+        _setattr(self, "re", re)
+        _setattr(self, "im", im)
 
     def is_exact(self) -> bool:
         return _is_exact(self.re) and _is_exact(self.im)
@@ -185,7 +255,7 @@ def product_bounds_hold(lower: Scalar, value: Scalar, upper: Scalar) -> bool:
     return lower <= value <= upper
 
 
-class _LazyFields:
+class _LazyFields(_Frozen):
     """Immutable verdict whose fields are built from integer parts on first
     read.
 
@@ -195,8 +265,8 @@ class _LazyFields:
     fields themselves.  Its predicates decide on ``_parts`` when it is
     set.  The first read of a field (``==``, ``hash`` and ``repr`` read
     every field) calls the subclass's ``_field_values()`` and stores the
-    results.  Equality, hashing and the repr are those of a frozen
-    dataclass with the same fields.
+    results.  Immutability, equality, hashing, the repr and pickling are
+    ``_Frozen``'s.
     """
 
     __slots__ = ("_parts",)
@@ -204,12 +274,12 @@ class _LazyFields:
     @classmethod
     def _from_parts(cls, parts):
         verdict = object.__new__(cls)
-        object.__setattr__(verdict, "_parts", parts)
+        _setattr(verdict, "_parts", parts)
         return verdict
 
     def _set_fields(self, values) -> None:
         for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
     def __getattr__(self, name):
         # Reached only for an unset slot: a field not yet built.
@@ -217,30 +287,6 @@ class _LazyFields:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._set_fields(self._field_values())
         return object.__getattribute__(self, name)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class NormProductVerdict(_LazyFields):
@@ -258,7 +304,7 @@ class NormProductVerdict(_LazyFields):
 
     def __init__(self, lower_bound: Scalar, product_norm: Scalar, upper_bound: Scalar):
         self._set_fields((lower_bound, product_norm, upper_bound))
-        object.__setattr__(self, "_parts", None)
+        _setattr(self, "_parts", None)
 
     def _field_values(self) -> tuple:
         norms, product_norm, df = self._parts

@@ -110,7 +110,6 @@ reduces real n-th roots to a solve of z^n - c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 # The round calls steepest_candidate; pick_descent_direction, its form at the
@@ -131,7 +130,7 @@ from .poly import (
     square_modulus,
     value_square_modulus,
 )
-from .scalars import ComplexScalar, Scalar, ZERO, gaussian_parts
+from .scalars import ComplexScalar, Scalar, ZERO, _Frozen, _setattr, gaussian_parts
 
 __all__ = [
     "SolverConfig",
@@ -169,8 +168,7 @@ POLISH_MAX_OUTER = 20
 FLOAT_ORIGIN = ComplexScalar(0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class SolverConfig:
+class SolverConfig(_Frozen):
     """Descent settings: the one setting is the residual target
     ``residual_tol`` (see the module docstring for the stop test).
     Construction raises ValueError unless it is finite and > 0.  Every
@@ -184,19 +182,19 @@ class SolverConfig:
     order in floats and EXACT_MAX_BACKTRACKS = 64 times exact; running out
     moves the round to the next order."""
 
-    residual_tol: float = 1e-9
+    __slots__ = __match_args__ = ("residual_tol",)
 
-    def __post_init__(self):
+    def __init__(self, residual_tol: float = 1e-9):
         # NaN fails every comparison, so it is rejected too.
-        if not 0 < self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
+        if not 0 < residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and > 0, got {residual_tol!r}")
+        _setattr(self, "residual_tol", residual_tol)
 
 
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True, slots=True)
-class DescentStep:
+class DescentStep(_Frozen):
     """One accepted step: the state at departure plus the decision taken.
 
     ``rule`` names how the step was steered: "unit" (a unit candidate, or
@@ -207,33 +205,84 @@ class DescentStep:
     The rule is left out of the repr, which stays a record of the iterates
     alone."""
 
-    z: ComplexScalar
-    f_value: Scalar
-    order: int
-    alpha: ComplexScalar
-    direction: DirectionCandidate
-    r_accepted: Scalar
-    backtracks: int
-    m_bound: Scalar | None
-    rule: str = field(repr=False)
+    __slots__ = __match_args__ = (
+        "z",
+        "f_value",
+        "order",
+        "alpha",
+        "direction",
+        "r_accepted",
+        "backtracks",
+        "m_bound",
+        "rule",
+    )
+    _repr_omits = ("rule",)
+
+    def __init__(
+        self,
+        z: ComplexScalar,
+        f_value: Scalar,
+        order: int,
+        alpha: ComplexScalar,
+        direction: DirectionCandidate,
+        r_accepted: Scalar,
+        backtracks: int,
+        m_bound: Scalar | None,
+        rule: str,
+    ):
+        _setattr(self, "z", z)
+        _setattr(self, "f_value", f_value)
+        _setattr(self, "order", order)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "direction", direction)
+        _setattr(self, "r_accepted", r_accepted)
+        _setattr(self, "backtracks", backtracks)
+        _setattr(self, "m_bound", m_bound)
+        _setattr(self, "rule", rule)
 
 
-@dataclass(frozen=True, slots=True)
-class DescentTrace:
-    start: ComplexScalar
-    steps: tuple[DescentStep, ...]
-    final_z: ComplexScalar
-    final_f: Scalar
-    converged: bool
-    phase: str = "descent"
+class DescentTrace(_Frozen):
+    """One descent (``phase`` "descent") or polish ("polish"): where it
+    started, every accepted step, where it ended and whether it met its
+    stop test."""
+
+    __slots__ = __match_args__ = ("start", "steps", "final_z", "final_f", "converged", "phase")
+
+    def __init__(
+        self,
+        start: ComplexScalar,
+        steps: tuple[DescentStep, ...],
+        final_z: ComplexScalar,
+        final_f: Scalar,
+        converged: bool,
+        phase: str = "descent",
+    ):
+        _setattr(self, "start", start)
+        _setattr(self, "steps", steps)
+        _setattr(self, "final_z", final_z)
+        _setattr(self, "final_f", final_f)
+        _setattr(self, "converged", converged)
+        _setattr(self, "phase", phase)
 
 
-@dataclass(frozen=True, slots=True)
-class RootResult:
-    roots: tuple[ComplexScalar, ...]
-    residual_one_norms: tuple[Scalar, ...]
-    iterations: int
-    traces: tuple[DescentTrace, ...]
+class RootResult(_Frozen):
+    """Every root found, the one-norm of the residual of each on the
+    original polynomial, the number of accepted steps over every descent
+    and polish, and their traces."""
+
+    __slots__ = __match_args__ = ("roots", "residual_one_norms", "iterations", "traces")
+
+    def __init__(
+        self,
+        roots: tuple[ComplexScalar, ...],
+        residual_one_norms: tuple[Scalar, ...],
+        iterations: int,
+        traces: tuple[DescentTrace, ...],
+    ):
+        _setattr(self, "roots", roots)
+        _setattr(self, "residual_one_norms", residual_one_norms)
+        _setattr(self, "iterations", iterations)
+        _setattr(self, "traces", traces)
 
 
 class ConvergenceError(RuntimeError):

@@ -1,0 +1,405 @@
+"""The package's value types, pinned to the behaviour of frozen slotted
+dataclasses: constructor signatures and defaults, validation, repr (the
+golden digests hash reprs), ``==``/``hash`` as a compare of the field
+tuple, ``__match_args__``, immutability, and pickle/``copy`` round trips.
+"""
+
+import copy
+import inspect
+import math
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import fourops
+from fourops.estermann import DirectionCandidate, DirectVerdict, verify_lemma_termwise
+from fourops.poly import Polynomial, ShiftDecomposition
+from fourops.scalars import ComplexScalar as C
+from fourops.scalars import check_norm_product
+from fourops.solver import DescentStep, DescentTrace, RootResult, SolverConfig
+
+# Each class's __match_args__: its fields, which are also its constructor
+# parameters, in order, every one positional-or-keyword.
+MATCH_ARGS = {
+    C: ("re", "im"),
+    ShiftDecomposition: ("base_value", "order", "quotient"),
+    Polynomial: ("coeffs",),
+    DirectionCandidate: ("zeta", "zeta_pow_k"),
+    DirectVerdict: ("k", "power"),
+    SolverConfig: ("residual_tol",),
+    DescentStep: (
+        "z",
+        "f_value",
+        "order",
+        "alpha",
+        "direction",
+        "r_accepted",
+        "backtracks",
+        "m_bound",
+        "rule",
+    ),
+    DescentTrace: ("start", "steps", "final_z", "final_f", "converged", "phase"),
+    RootResult: ("roots", "residual_one_norms", "iterations", "traces"),
+}
+DEFAULTS = {(SolverConfig, "residual_tol"): 1e-9, (DescentTrace, "phase"): "descent"}
+
+
+def examples(a, b):
+    """One instance of each class, built from the scalars a and b, as
+    (instance, its field values in ``__match_args__`` order)."""
+    z, w = C(a, b), C(b, a)
+    quotient = Polynomial((C(a, 0), C(1, 0)))
+    direction = DirectionCandidate(z, w)
+    step = (z, a, 2, w, direction, a, 3, b, "quadrant")
+    trace = (z, (DescentStep(*step),), w, a, True, "descent")
+    fields = [
+        (C, (a, b)),
+        (ShiftDecomposition, (z, 2, quotient)),
+        (Polynomial, ((z, C(b, 0), C(a, 0)),)),
+        (DirectionCandidate, (z, w)),
+        (DirectVerdict, (4, z)),
+        (SolverConfig, (a,)),
+        (DescentStep, step),
+        (DescentTrace, trace),
+        (RootResult, ((z,), (a,), 1, (DescentTrace(*trace),))),
+    ]
+    return [(cls(*values), values) for cls, values in fields]
+
+
+KINDS = {"int": (1, -2), "fraction": (F(1, 3), F(-2, 5)), "float": (0.5, -0.0)}
+INSTANCES = [(kind, obj, values) for kind, ab in KINDS.items() for obj, values in examples(*ab)]
+IDS = [f"{type(obj).__name__}-{kind}" for kind, obj, _ in INSTANCES]
+
+
+def verdicts():
+    norm = check_norm_product(C(3, F(1, 2)), C(F(-5, 6), 4))
+    termwise = verify_lemma_termwise(4)
+    built = [type(v)(*(getattr(v, n) for n in v.__match_args__)) for v in (norm, termwise)]
+    return [norm, termwise, *built]
+
+
+# ---------------------------------------------------------------------------
+# repr, byte for byte
+# ---------------------------------------------------------------------------
+
+INT_Z = "ComplexScalar(re=1, im=-2)"
+INT_W = "ComplexScalar(re=-2, im=1)"
+INT_DIR = f"DirectionCandidate(zeta={INT_Z}, zeta_pow_k={INT_W})"
+INT_STEP = (
+    f"DescentStep(z={INT_Z}, f_value=1, order=2, alpha={INT_W}, direction={INT_DIR}, "
+    "r_accepted=1, backtracks=3, m_bound=-2)"
+)
+INT_TRACE = (
+    f"DescentTrace(start={INT_Z}, steps=({INT_STEP},), final_z={INT_W}, final_f=1, "
+    "converged=True, phase='descent')"
+)
+FRAC_Z = "ComplexScalar(re=Fraction(1, 3), im=Fraction(-2, 5))"
+FRAC_W = "ComplexScalar(re=Fraction(-2, 5), im=Fraction(1, 3))"
+FRAC_DIR = f"DirectionCandidate(zeta={FRAC_Z}, zeta_pow_k={FRAC_W})"
+FRAC_STEP = (
+    f"DescentStep(z={FRAC_Z}, f_value=Fraction(1, 3), order=2, alpha={FRAC_W}, "
+    f"direction={FRAC_DIR}, r_accepted=Fraction(1, 3), backtracks=3, m_bound=Fraction(-2, 5))"
+)
+FRAC_TRACE = (
+    f"DescentTrace(start={FRAC_Z}, steps=({FRAC_STEP},), final_z={FRAC_W}, "
+    "final_f=Fraction(1, 3), converged=True, phase='descent')"
+)
+FLOAT_Z = "ComplexScalar(re=0.5, im=-0.0)"
+FLOAT_W = "ComplexScalar(re=-0.0, im=0.5)"
+FLOAT_DIR = f"DirectionCandidate(zeta={FLOAT_Z}, zeta_pow_k={FLOAT_W})"
+FLOAT_STEP = (
+    f"DescentStep(z={FLOAT_Z}, f_value=0.5, order=2, alpha={FLOAT_W}, direction={FLOAT_DIR}, "
+    "r_accepted=0.5, backtracks=3, m_bound=-0.0)"
+)
+FLOAT_TRACE = (
+    f"DescentTrace(start={FLOAT_Z}, steps=({FLOAT_STEP},), final_z={FLOAT_W}, final_f=0.5, "
+    "converged=True, phase='descent')"
+)
+
+REPRS = {
+    "int": [
+        INT_Z,
+        "ShiftDecomposition(base_value=ComplexScalar(re=1, im=-2), order=2, "
+        "quotient=Polynomial(coeffs=(ComplexScalar(re=1, im=0), ComplexScalar(re=1, im=0))))",
+        "Polynomial(coeffs=(ComplexScalar(re=1, im=-2), ComplexScalar(re=-2, im=0), "
+        "ComplexScalar(re=1, im=0)))",
+        INT_DIR,
+        "DirectVerdict(k=4, power=ComplexScalar(re=1, im=-2))",
+        "SolverConfig(residual_tol=1)",
+        INT_STEP,
+        INT_TRACE,
+        f"RootResult(roots=({INT_Z},), residual_one_norms=(1,), iterations=1, "
+        f"traces=({INT_TRACE},))",
+    ],
+    "fraction": [
+        FRAC_Z,
+        f"ShiftDecomposition(base_value={FRAC_Z}, order=2, quotient=Polynomial(coeffs=("
+        "ComplexScalar(re=Fraction(1, 3), im=0), ComplexScalar(re=1, im=0))))",
+        f"Polynomial(coeffs=({FRAC_Z}, ComplexScalar(re=Fraction(-2, 5), im=0), "
+        "ComplexScalar(re=Fraction(1, 3), im=0)))",
+        FRAC_DIR,
+        f"DirectVerdict(k=4, power={FRAC_Z})",
+        "SolverConfig(residual_tol=Fraction(1, 3))",
+        FRAC_STEP,
+        FRAC_TRACE,
+        f"RootResult(roots=({FRAC_Z},), residual_one_norms=(Fraction(1, 3),), iterations=1, "
+        f"traces=({FRAC_TRACE},))",
+    ],
+    "float": [
+        FLOAT_Z,
+        f"ShiftDecomposition(base_value={FLOAT_Z}, order=2, quotient=Polynomial(coeffs=("
+        "ComplexScalar(re=0.5, im=0), ComplexScalar(re=1, im=0))))",
+        f"Polynomial(coeffs=({FLOAT_Z}, ComplexScalar(re=-0.0, im=0), "
+        "ComplexScalar(re=0.5, im=0)))",
+        FLOAT_DIR,
+        f"DirectVerdict(k=4, power={FLOAT_Z})",
+        "SolverConfig(residual_tol=0.5)",
+        FLOAT_STEP,
+        FLOAT_TRACE,
+        f"RootResult(roots=({FLOAT_Z},), residual_one_norms=(0.5,), iterations=1, "
+        f"traces=({FLOAT_TRACE},))",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_repr_literals(kind):
+    got = [repr(obj) for obj, _ in examples(*KINDS[kind])]
+    assert got == REPRS[kind]
+
+
+def test_default_reprs():
+    assert repr(SolverConfig()) == "SolverConfig(residual_tol=1e-09)"
+    want = "SolverConfig(residual_tol=Fraction(1, 1000000000000))"
+    assert str(SolverConfig(F(1, 10**12))) == want
+
+
+def test_polynomial_repr_and_equality_ignore_the_caches():
+    p = Polynomial((C(F(1, 2), 0), C(3, -1), C(1, 0)))
+    fresh = Polynomial(p.coeffs)
+    want = repr(fresh)
+    p.complex_coeffs(), p.coeff_norms(), p.gaussian_coeffs()
+    assert repr(p) == want
+    assert p == fresh and hash(p) == hash(fresh)
+    f = Polynomial((C(0.5, 0.0), C(1.0, 0.0)))
+    f.complex_coeffs(), f.coeff_norms()
+    assert repr(f) == (
+        "Polynomial(coeffs=(ComplexScalar(re=0.5, im=0.0), ComplexScalar(re=1.0, im=0.0)))"
+    )
+
+
+def test_descent_step_repr_leaves_out_the_rule():
+    _, values = examples(1, -2)[6]
+    for rule in ("unit", "quadrant", "escalated", "newton"):
+        step = DescentStep(*values[:-1], rule)
+        assert repr(step) == INT_STEP
+        assert step.rule == rule
+
+
+# ---------------------------------------------------------------------------
+# equality and hashing: a compare of the field tuple
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, obj, values", INSTANCES, ids=IDS)
+def test_eq_and_hash_are_those_of_the_field_tuple(kind, obj, values):
+    twin = type(obj)(*values)
+    assert twin is not obj
+    assert obj == twin and not obj != twin
+    assert hash(obj) == hash(twin) == hash(values)
+    assert obj != values and not obj == values
+    assert obj.__eq__(values) is NotImplemented
+    for other, _ in examples(*KINDS[kind]):
+        if type(other) is not type(obj):
+            assert obj != other and other != obj
+            assert obj.__eq__(other) is NotImplemented
+
+
+def test_eq_compares_every_compared_field():
+    for obj, values in examples(1, -2):
+        for j in range(len(values)):
+            changed = list(values)
+            changed[j] = (2, -3) if isinstance(values[j], tuple) else 7
+            if type(obj) is Polynomial:
+                changed[j] = (C(2, 0), C(1, 0))
+            assert obj != type(obj)(*changed), (type(obj).__name__, j)
+    # The rule is compared although it is left out of the repr.
+    _, values = examples(1, -2)[6]
+    assert DescentStep(*values[:-1], "unit") != DescentStep(*values[:-1], "newton")
+
+
+def test_eq_is_a_tuple_compare():
+    # A tuple compare takes identical elements as equal before trying ==,
+    # so one NaN object equals itself and two NaN objects do not.
+    nan = float("nan")
+    assert C(nan, 0.0) == C(nan, 0.0)
+    assert C(nan, 0.0) != C(float("nan"), 0.0)
+    # Components compare by value across numeric types, as in a tuple.
+    assert C(1, 0) == C(1.0, F(0)) and hash(C(1, 0)) == hash(C(1.0, F(0)))
+    assert C(1, 0) != 1 and C(1, 0) != complex(1, 0)
+
+
+# ---------------------------------------------------------------------------
+# construction: keywords, defaults, validation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", list(MATCH_ARGS), ids=[cls.__name__ for cls in MATCH_ARGS])
+def test_signature_and_match_args(cls):
+    assert cls.__match_args__ == MATCH_ARGS[cls]
+    kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    want = [(name, kind, DEFAULTS.get((cls, name), empty)) for name in MATCH_ARGS[cls]]
+    got = [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+    assert got == want
+
+
+@pytest.mark.parametrize("kind, obj, values", INSTANCES, ids=IDS)
+def test_keyword_construction(kind, obj, values):
+    cls = type(obj)
+    by_name = cls(**dict(zip(cls.__match_args__, values)))
+    assert by_name == obj and repr(by_name) == repr(obj)
+    assert tuple(getattr(obj, name) for name in cls.__match_args__) == values
+
+
+@pytest.mark.parametrize("kind, obj, values", INSTANCES, ids=IDS)
+def test_match_args_destructure(kind, obj, values):
+    match obj:
+        case C(re, im):
+            got = (re, im)
+        case Polynomial(coeffs):
+            got = (coeffs,)
+        case SolverConfig(tol):
+            got = (tol,)
+        case DirectVerdict(k, power) | DirectionCandidate(k, power):
+            got = (k, power)
+        case ShiftDecomposition(base, order, quotient):
+            got = (base, order, quotient)
+        case RootResult(roots, norms, iterations, traces):
+            got = (roots, norms, iterations, traces)
+        case DescentTrace(start, steps, final_z, final_f, converged, phase):
+            got = (start, steps, final_z, final_f, converged, phase)
+        case DescentStep(z, f, order, alpha, direction, r, backtracks, m, rule):
+            got = (z, f, order, alpha, direction, r, backtracks, m, rule)
+    assert got == values
+
+
+def test_defaults():
+    assert SolverConfig().residual_tol == 1e-9
+    assert SolverConfig() == SolverConfig(1e-9) == SolverConfig(residual_tol=1e-9)
+    z = C(1, 2)
+    trace = DescentTrace(z, (), z, 0, True)
+    assert trace.phase == "descent" and trace == DescentTrace(z, (), z, 0, True, "descent")
+    assert DescentTrace(z, (), z, 0, False, phase="polish").phase == "polish"
+
+
+def test_required_and_unknown_arguments_raise_type_error():
+    z = C(1, 2)
+    with pytest.raises(TypeError):
+        C(1)
+    with pytest.raises(TypeError):
+        C(1, 2, 3)
+    with pytest.raises(TypeError):
+        DescentStep(z, 0, 1, z, DirectionCandidate(z, z), 1, 0, None)  # no rule
+    with pytest.raises(TypeError):
+        RootResult((), (), 0)
+    with pytest.raises(TypeError):
+        SolverConfig(1e-9, 5)
+    # Polynomial's caches are not constructor arguments.
+    for name in ("_complex", "_norms", "_gaussian"):
+        with pytest.raises(TypeError):
+            Polynomial((C(1, 0),), **{name: None})
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -1e-9, math.inf, -math.inf, math.nan])
+def test_solver_config_rejects_bad_tolerances(tol):
+    with pytest.raises(ValueError, match="residual_tol must be finite and > 0"):
+        SolverConfig(tol)
+    with pytest.raises(ValueError):
+        SolverConfig(residual_tol=tol)
+
+
+def test_polynomial_trims_and_rejects_zero():
+    p = Polynomial([C(1, 0), C(2, 0), C(0, 0), C(0.0, -0.0)])
+    assert p.coeffs == (C(1, 0), C(2, 0)) and type(p.coeffs) is tuple
+    assert p == Polynomial((C(1, 0), C(2, 0))) and p.degree == 1
+    assert Polynomial((C(0, 0), C(0, 0), C(0, 3))).degree == 2
+    assert Polynomial(iter([C(5, 0)])).coeffs == (C(5, 0),)
+    assert Polynomial((C(0, 0), C(F(1, 2), 0), C(0, 0))).coeffs == (C(0, 0), C(F(1, 2), 0))
+    for zero in ((), (C(0, 0),), (C(0, 0), C(0.0, 0.0), C(F(0), 0))):
+        with pytest.raises(ValueError, match="the zero polynomial is not representable"):
+            Polynomial(zero)
+    p = Polynomial((C(1, 0), C(1, 1)))
+    assert p._complex is None and p._norms is None and p._gaussian is None
+
+
+# ---------------------------------------------------------------------------
+# pickle and copy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, obj, values", INSTANCES, ids=IDS)
+def test_pickle_and_copy_round_trips(kind, obj, values):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(obj, protocol))
+        assert type(back) is type(obj) and back == obj and repr(back) == repr(obj)
+    for back in (copy.copy(obj), copy.deepcopy(obj)):
+        assert type(back) is type(obj) and back == obj and repr(back) == repr(obj)
+
+
+def test_pickled_polynomial_keeps_working():
+    p = Polynomial((C(F(1, 2), 0), C(3, -1), C(1, 0)))
+    p.complex_coeffs(), p.coeff_norms(), p.gaussian_coeffs()
+    back = pickle.loads(pickle.dumps(p))
+    assert back.complex_coeffs() == p.complex_coeffs()
+    assert back.coeff_norms() == p.coeff_norms()
+    assert back.gaussian_coeffs() == p.gaussian_coeffs()
+
+
+# ---------------------------------------------------------------------------
+# immutability
+# ---------------------------------------------------------------------------
+
+FROZEN = [obj for obj, _ in examples(1, -2)] + verdicts()
+
+
+@pytest.mark.parametrize("obj", FROZEN, ids=[type(obj).__name__ for obj in FROZEN])
+def test_every_name_is_frozen(obj):
+    # Fields, a private slot, a property, a method and an unknown name all
+    # raise FrozenInstanceError, on assignment and on deletion alike.
+    names = (*type(obj).__match_args__, "_parts", "_complex", "is_exact", "holds", "other")
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    assert not hasattr(obj, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["fourops.cli", "fourops"])
+def test_import_leaves_out_dataclasses_and_inspect(module):
+    # Both modules cost several milliseconds at every ``fourops`` start, and
+    # the package needs neither.
+    src = str(Path(fourops.__file__).resolve().parents[1])
+    code = (
+        f"import sys\nimport {module}\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
