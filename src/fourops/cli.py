@@ -26,8 +26,6 @@ Output for a fixed invocation and seed is byte-for-byte deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from .estermann import BinomialTable, verify_lemma_direct, verify_lemma_termwise
@@ -100,6 +98,8 @@ def load_polynomial(args) -> Polynomial:
     if args.coeffs is not None:
         poly = parse_inline_coeffs(args.coeffs)
     else:
+        import json  # only file input and --json output read JSON
+
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -139,6 +139,8 @@ def _config(args) -> SolverConfig:
 
 def _print_result(result, as_json: bool) -> None:
     if as_json:
+        import json
+
         payload = {
             "roots": [[z.re, z.im] for z in result.roots],
             "residual_one_norms": list(result.residual_one_norms),
@@ -241,6 +243,8 @@ def cmd_trace(args) -> int:
         fh = open(args.csv, "w", encoding="utf-8", newline="")
     except OSError as err:
         raise UsageError(f"cannot write {args.csv}: {err}") from None
+    import csv  # only trace writes CSV
+
     with fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)

@@ -314,15 +314,11 @@ def candidate_set(k: int) -> tuple[DirectionCandidate, ...]:
 
 
 @lru_cache(maxsize=None)
-def _scored_candidates(k: int, float_mode: bool) -> tuple:
+def _scored_candidates(k: int) -> tuple:
     """(candidate, zeta, zeta^k, one_norm(zeta^k)) for each candidate of
-    order k.  In float mode the candidates are rounded to float and zeta
-    and zeta^k are builtin complex; otherwise they stay exact."""
-    candidates = candidate_set(k)
-    if not float_mode:
-        return tuple((c, c.zeta, c.zeta_pow_k, c.zeta_pow_k.one_norm()) for c in candidates)
+    order k rounded to float, with zeta and zeta^k builtin complex."""
     scored = []
-    for c in map(DirectionCandidate.to_float, candidates):
+    for c in map(DirectionCandidate.to_float, candidate_set(k)):
         zeta, zk = c.zeta, c.zeta_pow_k
         scored.append((c, complex(zeta.re, zeta.im), complex(zk.re, zk.im), zk.one_norm()))
     return tuple(scored)
@@ -345,39 +341,36 @@ def steepest_candidate(alpha, k: int):
     an exact ComplexScalar.  Returns (candidate, zeta in alpha's type,
     Re[alpha * zeta^k]).
 
-    When alpha has a Fraction part every ratio is a rational, and the pick
-    runs on integers: with alpha = (a + b*i)/d and zeta^k = (u + v*i)/q,
-    the ratio is (au - bv) / (d * one_norm(alpha) * (|u| + |v|)), so
-    candidates compare by cross-multiplying n = au - bv against
-    m = |u| + |v|.  An int alpha keeps the ratios as computed, which for an
-    int numerator is a float quotient."""
+    An exact alpha picks on integers, with int parts as with Fraction
+    ones: with alpha = (a + b*i)/d (d = 1 for int parts) and
+    zeta^k = (u + v*i)/q, the ratio is (au - bv) / (d * one_norm(alpha) *
+    (|u| + |v|)), so candidates compare by cross-multiplying n = au - bv
+    against m = |u| + |v|, and Re[alpha * zeta^k] is the Fraction
+    n / (d q)."""
     re, im = alpha.real, alpha.imag
     if re == 0 and im == 0:
         raise ValueError("alpha must be nonzero (the point is already a root)")
-    if type(alpha) is not complex and (isinstance(re, Fraction) or isinstance(im, Fraction)):
+    best = None
+    if type(alpha) is not complex:
         a, b, d = gaussian_parts(alpha)
-        best = None
         for candidate, u, v, m, q in _gaussian_candidates(k):
             n = a * u - b * v
             if best is None or n * best_m < best_n * m:
                 best, best_n, best_m, best_q = candidate, n, m, q
-        best, best_num = (best, best.zeta), Fraction(best_n, d * best_q)
+        best_zeta, best_num = best.zeta, Fraction(best_n, d * best_q)
     else:
         alpha_norm = abs(re) + abs(im)
-        best = None
-        best_ratio = None
-        best_num = None
-        for candidate, zeta, zk, zk_norm in _scored_candidates(k, type(alpha) is complex):
+        for candidate, zeta, zk, zk_norm in _scored_candidates(k):
             num = re * zk.real - im * zk.imag  # Re[alpha * zeta^k]
             ratio = num / (alpha_norm * zk_norm)
-            if best_ratio is None or ratio < best_ratio:
-                best, best_ratio, best_num = (candidate, zeta), ratio, num
+            if best is None or ratio < best_ratio:
+                best, best_zeta, best_ratio, best_num = candidate, zeta, ratio, num
     if best_num >= 0:
         raise ArithmeticError(
             f"no descent direction for alpha={ComplexScalar(re, im)!r}, k={k}; "
             "candidate set is incomplete"
         )
-    return best[0], best[1], best_num
+    return best, best_zeta, best_num
 
 
 def pick_descent_direction(alpha: ComplexScalar, k: int) -> DirectionCandidate:

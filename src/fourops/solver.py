@@ -3,22 +3,21 @@
 One descent round at a point z:
 
 1. Shift: P(z + h) = P(z) + h^k Q(h) with Q(0) != 0 (``taylor_shift``).
-   Float backend, at k = 1 only: first try the Newton step
-   zeta = -P(z) conj(Q(0)) / |Q(0)|^2 at r = 1 (the one division is by
-   a real number) and accept it when f(z + zeta) <= f(z) / 2.  With
+   Float backend: each round tries the Newton step once, exactly when
+   k = 1: zeta = -P(z) conj(Q(0)) / |Q(0)|^2 at r = 1 (the one division
+   is by a real number), accepted when f(z + zeta) <= f(z) / 2.  With
    alpha as below, Re[alpha * zeta] = -f(z), so that is the sufficient
    decrease of step 3 at r = 1, and the per-step certificate, which is
    about r < 1, has nothing to check.  Newton is skipped when |Q(0)|^2 is
-   0 or not finite, or when the trial leaves the float range, and any
-   rejected Newton trial falls back to steps 2 and 3.
-   A float round costs O(n) when Newton is taken: P(z) and Q(0) = P'(z)
-   come from one two-row Horner pass (``horner_slope``, the shift's
-   first two rows bit for bit), carried over from the previous round's
-   trial, and ``certifies_order_one`` proves k = 1 from P'(z) and the
-   coefficient one-norms alone.  The O(n^2) shift is built only when
-   that test is inconclusive or Newton is rejected, and Newton is not
-   tried twice in one round, so every iterate is the one the full shift
-   would give.
+   0 or not finite, or when the trial leaves the float range, and a
+   skipped or rejected trial falls back to steps 2 and 3.
+   ``certifies_order_one`` proves k = 1 in O(n) from P'(z) and the
+   coefficient one-norms; only when it is inconclusive does the O(n^2)
+   shift give the order first.  P(z) and Q(0) = P'(z) come from one
+   two-row Horner pass (``horner_slope``, the shift's first two rows bit
+   for bit) carried over from the previous round's trial, so a certified
+   round whose Newton step is taken costs O(n), and every iterate is the
+   one the full shift would give.
 2. Steer: alpha = conj(P(z)) * Q(0); pick the candidate direction zeta
    with the most negative normalized Re[alpha * zeta^k]
    (``pick_descent_direction``; such a direction always exists for
@@ -64,8 +63,9 @@ entry (see ``SolverConfig`` for the limits), and with them the round's
 shift and line search: ``_ExactShift`` when both the polynomial and the
 start are exact (``Polynomial.kernel_args``), else ``_FloatShift`` on
 builtin ``complex``, with any int or Fraction part of the start rounded
-to float.  ``_descent_round`` is the one round of both: steering,
-escalation, the rule and the ``DescentStep``.
+to float.  The loop of ``descend_to_root`` holds the one Newton decision
+of a float round; ``_descent_round`` is the candidate round of both
+backends: steering, escalation, the rule and the ``DescentStep``.
 
 In floats the shift, the order, alpha, the direction, the bound M and
 every line-search trial stay in ``complex``, through the kernels of
@@ -437,14 +437,22 @@ def descend_to_root(
             if len(steps) >= max_outer:
                 failure = f"no convergence within {max_outer} descent rounds"
                 break
-            certified = not exact and certifies_order_one(slope, norms, w)
-            newton = _newton_round(coeffs, z, w, f_z, value, slope) if certified else None
-            if newton is not None:
-                step, w, f_z, value, slope = newton
-            else:
+            # A float round tries Newton once, exactly at order 1: proved in
+            # O(n) by certifies_order_one, else read off the shift.
+            shift = newton = None
+            if exact or not certifies_order_one(slope, norms, w):
                 shift = shift_type(shift_coeffs, w)
-                newton_left = not exact and not certified
-                accepted = _descent_round(shift, z, f_z, max_backtracks, newton_left)
+            if not exact and (shift is None or shift.order == 1):
+                newton = _newton_trial(coeffs, w, value, slope)
+            # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
+            if newton is not None and newton[5] < f_z and newton[5] <= f_z * 0.5:
+                alpha, zeta, w, value, slope, f_trial = newton
+                step = _newton_step(z, f_z, alpha, zeta)
+                f_z = f_trial
+            else:
+                accepted = _descent_round(
+                    shift or shift_type(shift_coeffs, w), z, f_z, max_backtracks
+                )
                 if accepted is None:
                     failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
                     break
@@ -457,23 +465,6 @@ def descend_to_root(
     if failure is not None:
         raise ConvergenceError(f"{failure} (best f = {f_z})", z, f_z, trace)
     return z, trace
-
-
-def _newton(b0: complex, b1: complex) -> tuple[complex, complex] | None:
-    """(alpha, zeta) for the Newton step zeta = -b0 * conj(b1) / |b1|^2 of
-    P(z + h) = b0 + b1 h + ..., with alpha = conj(b0) * b1, so that
-    Re[alpha * zeta] = -|b0|^2 = -f(z).  The only division is by the real
-    |b1|^2.  None when |b1|^2 is 0 or not finite, or when Re[alpha * zeta]
-    is not negative (it can underflow to 0)."""
-    d = b1.real * b1.real + b1.imag * b1.imag
-    if not 0 < d < math.inf:
-        return None
-    step = b0 * b1.conjugate()
-    zeta = complex(-step.real / d, -step.imag / d)
-    alpha = b0.conjugate() * b1
-    if not alpha.real * zeta.real - alpha.imag * zeta.imag < 0:
-        return None
-    return alpha, zeta
 
 
 def _newton_step(z: ComplexScalar, f_z, alpha: complex, zeta: complex) -> DescentStep:
@@ -493,14 +484,21 @@ def _newton_step(z: ComplexScalar, f_z, alpha: complex, zeta: complex) -> Descen
 
 
 def _newton_trial(coeffs: tuple, w: complex, value: complex, slope: complex):
-    """The Newton step from w at r = 1, from value = P(w) and slope = P'(w)
-    (see ``_newton``), evaluated with one two-row Horner pass: (alpha,
-    zeta, the trial point, P and P' there, f there), or None when the
-    step is skipped or f at the trial point is not finite."""
-    newton = _newton(value, slope)
-    if newton is None:
+    """The Newton step zeta = -P(w) conj(P'(w)) / |P'(w)|^2 from w at r = 1,
+    from value = P(w) and slope = P'(w), with alpha = conj(P(w)) * P'(w),
+    so that Re[alpha * zeta] = -|P(w)|^2 = -f(w); the only division is by
+    the real |P'(w)|^2.  Returns (alpha, zeta, the trial point, P and P'
+    there from one two-row Horner pass, f there), or None when |P'(w)|^2
+    is 0 or not finite, when Re[alpha * zeta] is not negative (it can
+    underflow to 0), or when f at the trial point is not finite."""
+    d = slope.real * slope.real + slope.imag * slope.imag
+    if not 0 < d < math.inf:
         return None
-    alpha, zeta = newton
+    step = value * slope.conjugate()
+    zeta = complex(-step.real / d, -step.imag / d)
+    alpha = value.conjugate() * slope
+    if not alpha.real * zeta.real - alpha.imag * zeta.imag < 0:
+        return None
     trial = complex(w.real + zeta.real, w.imag + zeta.imag)
     trial_value, trial_slope = horner_slope(coeffs, trial)
     try:
@@ -508,23 +506,6 @@ def _newton_trial(coeffs: tuple, w: complex, value: complex, slope: complex):
     except NonFiniteObjectiveError:
         return None
     return alpha, zeta, trial, trial_value, trial_slope, f_trial
-
-
-def _newton_round(
-    coeffs: tuple, z: ComplexScalar, w: complex, f_z, value: complex, slope: complex
-) -> tuple[DescentStep, complex, float, complex, complex] | None:
-    """The Newton step of a float round at order 1 (see the module
-    docstring), from value = P(w) and slope = P'(w).  Returns the step,
-    the trial point, its objective and P and P' there, or None when the
-    step is skipped or rejected."""
-    newton = _newton_trial(coeffs, w, value, slope)
-    if newton is None:
-        return None
-    alpha, zeta, trial, trial_value, trial_slope, f_trial = newton
-    # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
-    if f_trial < f_z and f_trial <= f_z * 0.5:
-        return _newton_step(z, f_z, alpha, zeta), trial, f_trial, trial_value, trial_slope
-    return None
 
 
 class _FloatShift:
@@ -585,7 +566,7 @@ class _ExactShift:
         self.b_re, self.b_im = gaussian_shifted(re, im, x, y, d)
         self.ints = ints and isinstance(z.re, int) and isinstance(z.im, int)
         self.norms = [abs(u) + abs(v) for u, v in zip(self.b_re, self.b_im)]
-        self.order = next(j for j in range(1, len(re)) if self.norms[j])
+        self.order = shift_order(self.norms, True)
 
     def alpha(self, k: int) -> ComplexScalar:
         """conj(P(z)) * b_k."""
@@ -658,20 +639,13 @@ def _descent_round(
     z: ComplexScalar,
     f_z,
     max_backtracks: int,
-    newton: bool,
 ) -> tuple[DescentStep, complex | ComplexScalar, Scalar] | None:
-    """One descent round at z (see the module docstring) from its Taylor
-    shift; a float round at order 1 tries Newton first when ``newton``.
-    Returns the step, the accepted point in the shift's value type and its
-    objective, or None when the line search exhausts its shrinks at every
-    usable order."""
+    """The candidate round at z (steps 2 and 3 of the module docstring)
+    from its Taylor shift.  Returns the step, the accepted point in the
+    shift's value type and its objective, or None when the line search
+    exhausts its shrinks at every usable order."""
     norms = shift.norms
     order = detected = shift.order
-    if order == 1 and newton:
-        b = shift.b
-        taken = _newton_round(shift.coeffs, z, shift.w, f_z, b[0], b[1])
-        if taken is not None:
-            return taken[:3]
     while True:
         alpha = shift.alpha(order)
         candidate, zeta, rate = steepest_candidate(alpha, order)

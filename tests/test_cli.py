@@ -215,6 +215,17 @@ def test_solve_objective_overflow_exits_3_under_optimize():
     assert done.stdout.splitlines()[-1] == "iterations: 0"
 
 
+def test_import_leaves_out_csv_and_json():
+    # Every ``fourops`` process imports the cli; only ``trace`` writes CSV
+    # and only ``--input`` and ``--json`` read or write JSON.
+    env = dict(os.environ, PYTHONPATH=str(Path(fourops.__file__).resolve().parents[1]))
+    code = "import sys\nimport fourops.cli\nprint(sorted({'csv', 'json'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_trace_objective_overflow_exits_3(capsys, tmp_path):
     path = tmp_path / "steps.csv"
     assert main(["trace", "--coeffs=1e160+1e160i,1", "--csv", str(path)]) == 3

@@ -14,7 +14,7 @@ solve records Fractions.
 from fractions import Fraction
 
 from fourops import solver
-from fourops.estermann import candidate_set, steepest_candidate
+from fourops.estermann import candidate_set, pick_descent_direction, steepest_candidate
 from fourops.poly import (
     Polynomial,
     gaussian_ray,
@@ -183,6 +183,42 @@ def test_direction_pick_on_integers_matches_fraction_ratios():
             assert repr(steepest_candidate(alpha, k)) == repr(ref_pick(alpha, k))
     # A tie keeps the earliest candidate: -1 and i at odd k for re == im.
     assert steepest_candidate(alphas[0], 1)[0].zeta == C(-1, 0)
+
+
+def as_fractions(alpha):
+    return C(Fraction(alpha.re), Fraction(alpha.im))
+
+
+def test_int_alpha_tie_picks_the_steeper_unit():
+    # Re[alpha * i] = -(2^60 + 1) < -2^60 = Re[alpha * 1], but as float
+    # quotients over one_norm(alpha) = 2^61 + 1 both round to -0.5, and a
+    # float tie would keep the earlier candidate 1.
+    alpha = C(-(2**60), 2**60 + 1)
+    want = ref_pick(as_fractions(alpha), 1)
+    assert want[1] == C(0, 1)
+    for picked in (steepest_candidate(alpha, 1), steepest_candidate(as_fractions(alpha), 1)):
+        assert repr(picked[:2]) == repr(want[:2]) and picked[2] == want[2]
+    assert repr(pick_descent_direction(alpha, 1)) == repr(want[0])
+
+
+def test_direction_pick_on_int_alphas_matches_fraction_ratios():
+    # Int alphas take the same integer pick as Fraction ones: the same
+    # candidate and zeta (with their types) and the same rate.
+    rng = SplitMix64(2505)
+    alphas = []
+    while len(alphas) < 400:
+        alpha = random_point(rng, True)
+        if rng.next_u64() % 2:
+            # Parts near +-2^60, where float quotients of near ties round equal.
+            signs = [1 - 2 * int(rng.next_u64() % 2) for _ in range(2)]
+            alpha = C(alpha.re + signs[0] * 2**60, alpha.im + signs[1] * 2**60)
+        if not alpha.is_zero:
+            alphas.append(alpha)
+    for alpha in alphas:
+        for k in range(1, 7):
+            candidate, zeta, rate = steepest_candidate(alpha, k)
+            want = ref_pick(as_fractions(alpha), k)
+            assert repr((candidate, zeta)) == repr(want[:2]) and rate == want[2]
 
 
 def test_first_exact_step_keeps_the_int_type():

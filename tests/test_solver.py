@@ -477,3 +477,30 @@ def test_newton_rounds_build_no_taylor_shift(monkeypatch):
     steps = [s for t in result.traces if t.phase == "descent" for s in t.steps]
     assert len(calls) == sum(s.rule != "newton" for s in steps) > 0
     assert len(steps) > 4 * len(calls)
+
+
+def test_order_one_certificate_is_a_pure_shortcut(monkeypatch):
+    # ``certifies_order_one`` only spares the shift: with it always
+    # inconclusive, every float round reads its order off the shift and
+    # still takes Newton at order 1, and every outcome keeps its bits.
+    def outcomes():
+        rng = SplitMix64(25)
+        got = []
+        for degree in range(1, 21):
+            roots = [
+                C(random_box_float(rng, 2.0), random_box_float(rng, 2.0)) for _ in range(degree)
+            ]
+            try:
+                result = find_all_roots(Polynomial.from_roots(roots), SolverConfig(1e-12))
+            except SolveError as err:
+                result = err.partial
+                got.append("SolveError")
+            got.append(repr(result))
+            descent = [s for t in result.traces if t.phase == "descent" for s in t.steps]
+            got.append(sum(s.rule == "newton" for s in descent))
+        return got
+
+    certified = outcomes()
+    monkeypatch.setattr(solver, "certifies_order_one", lambda slope, norms, w: False)
+    assert outcomes() == certified
+    assert sum(n for n in certified if isinstance(n, int)) > 100
