@@ -19,7 +19,8 @@ infinite, NaN or outside the float range, a ``--tol`` that
 ``SolverConfig`` rejects, such as ``0``, ``inf`` or ``nan``, an
 ``nth-root`` argument out of range, and a ``--csv`` path that cannot be
 written), 3 the solve stopped early, by non-convergence or by an
-objective outside the float range (with a partial report on stdout).
+objective or a steering value outside the float range (with a partial
+report on stdout).
 Output for a fixed invocation and seed is byte-for-byte deterministic.
 """
 

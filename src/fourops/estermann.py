@@ -49,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .poly import NonFiniteObjectiveError
 from .scalars import ComplexScalar, _Frozen, _LazyFields, _setattr, gaussian_parts
 
 __all__ = [
@@ -346,7 +347,14 @@ def steepest_candidate(alpha, k: int):
     zeta^k = (u + v*i)/q, the ratio is (au - bv) / (d * one_norm(alpha) *
     (|u| + |v|)), so candidates compare by cross-multiplying n = au - bv
     against m = |u| + |v|, and Re[alpha * zeta^k] is the Fraction
-    n / (d q)."""
+    n / (d q).
+
+    A float alpha leaves no candidate with Re[alpha * zeta^k] < 0 only
+    when it is outside the float range (alpha = conj(P(w)) * b_k can
+    overflow where f(w) does not) or so small that every product
+    underflows to 0; that raises NonFiniteObjectiveError, which ends a
+    solve like a non-finite objective.  For an exact alpha it cannot
+    happen (ArithmeticError)."""
     re, im = alpha.real, alpha.imag
     if re == 0 and im == 0:
         raise ValueError("alpha must be nonzero (the point is already a root)")
@@ -357,18 +365,22 @@ def steepest_candidate(alpha, k: int):
             n = a * u - b * v
             if best is None or n * best_m < best_n * m:
                 best, best_n, best_m, best_q = candidate, n, m, q
-        best_zeta, best_num = best.zeta, Fraction(best_n, d * best_q)
-    else:
-        alpha_norm = abs(re) + abs(im)
-        for candidate, zeta, zk, zk_norm in _scored_candidates(k):
-            num = re * zk.real - im * zk.imag  # Re[alpha * zeta^k]
-            ratio = num / (alpha_norm * zk_norm)
-            if best is None or ratio < best_ratio:
-                best, best_zeta, best_ratio, best_num = candidate, zeta, ratio, num
-    if best_num >= 0:
-        raise ArithmeticError(
-            f"no descent direction for alpha={ComplexScalar(re, im)!r}, k={k}; "
-            "candidate set is incomplete"
+        if best_n >= 0:
+            raise ArithmeticError(
+                f"no descent direction for alpha={alpha!r}, k={k}; "
+                "candidate set is incomplete"
+            )
+        return best, best.zeta, Fraction(best_n, d * best_q)
+    alpha_norm = abs(re) + abs(im)
+    for candidate, zeta, zk, zk_norm in _scored_candidates(k):
+        num = re * zk.real - im * zk.imag  # Re[alpha * zeta^k]
+        ratio = num / (alpha_norm * zk_norm)
+        if best is None or ratio < best_ratio:
+            best, best_zeta, best_ratio, best_num = candidate, zeta, ratio, num
+    if not best_num < 0:
+        raise NonFiniteObjectiveError(
+            f"no float descent direction for alpha={ComplexScalar(re, im)!r}, k={k}: "
+            "Re[alpha * zeta^k] overflowed or underflowed"
         )
     return best, best_zeta, best_num
 

@@ -56,7 +56,10 @@ class NonFiniteObjectiveError(ArithmeticError):
     """The float objective is not a finite real number: P(z) is infinite or
     NaN, or the product Re P(z) * Im P(z) overflowed, so the imaginary
     part of P(z) * conj(P(z)) did not cancel to 0.  Not every overflow
-    raises: see ``square_modulus``."""
+    raises: see ``square_modulus``.  Also raised when a descent's
+    steering value alpha = conj(P(z)) * b_k is outside the float range,
+    too large or too small for any direction to lower f in floats
+    (``steepest_candidate``)."""
 
 
 class ShiftDecomposition(_Frozen):
@@ -164,16 +167,6 @@ class Polynomial(_Frozen):
                     raise ValueError(
                         f"coefficient {j} ({c.re!r}, {c.im!r}) is not finite"
                     )
-
-    def trailing_zero_order(self) -> int:
-        """Index of the first literally nonzero coefficient (0 if a0 != 0).
-
-        Equals the multiplicity of z = 0 as a root when positive.
-        """
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return j
-        raise AssertionError("unreachable: zero polynomial is rejected at construction")
 
     # -- evaluation -------------------------------------------------------------
 

@@ -21,7 +21,8 @@ One descent round at a point z:
 2. Steer: alpha = conj(P(z)) * Q(0); pick the candidate direction zeta
    with the most negative normalized Re[alpha * zeta^k]
    (``pick_descent_direction``; such a direction always exists for
-   alpha != 0).
+   alpha != 0, but a float alpha can overflow where f(z) does not, and
+   the descent then stops with NonFiniteObjectiveError).
 3. Step: backtracking line search over the fixed schedule
    r = 1, 1/2, 1/4, ... until the sufficient decrease
 
@@ -98,13 +99,14 @@ those of the rational arithmetic, type for type.
 begins at exact 0 on an exact polynomial and at 0.0 otherwise.
 
 ``find_all_roots`` peels roots off by synthetic deflation and polishes
-every root against the original polynomial.  The float polish is Newton
-steps only (P and P' from one two-row Horner pass), taken while each
-lowers f, for at most POLISH_MAX_OUTER steps; the exact polish is up to
-POLISH_MAX_OUTER descent rounds.  A root whose polish ends above the
-residual target on the original polynomial fails the solve with
-SolveError, so every returned root meets it.  ``positive_nth_root``
-reduces real n-th roots to a solve of z^n - c.
+every root against the original polynomial.  A root at 0 is no special
+case: f(0) = 0 meets the stop test, so its descent takes no step.  The
+float polish is Newton steps only (P and P' from one two-row Horner
+pass), taken while each lowers f, for at most POLISH_MAX_OUTER steps;
+the exact polish is up to POLISH_MAX_OUTER descent rounds.  A root whose
+polish ends above the residual target on the original polynomial fails
+the solve with SolveError, so every returned root meets it.
+``positive_nth_root`` reduces real n-th roots to a solve of z^n - c.
 """
 
 from __future__ import annotations
@@ -709,73 +711,56 @@ def descent_start(poly: Polynomial) -> ComplexScalar:
 def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> RootResult:
     """All roots of P with multiplicity, by repeated descent and deflation.
 
-    Roots at 0 are read off directly from trailing zero coefficients.
-    Every other root is found on the current deflated polynomial starting
-    from ``descent_start``, then polished against the original P, which
-    must meet the residual target there or the solve fails.  Output is
-    sorted by (Re, Im); residual one-norms are evaluated on the original
-    polynomial.
+    Every root, one at 0 included, is found on the current deflated
+    polynomial starting from ``descent_start``, then polished against the
+    original P, which must meet the residual target there or the solve
+    fails.  Output is sorted by (Re, Im); residual one-norms are evaluated
+    on the original polynomial.
     """
     if poly.degree < 1:
         raise ValueError("degree must be >= 1")
     poly.require_finite()
-    if poly.is_exact() and poly.degree > EXACT_MAX_DEGREE:
-        raise ValueError(
-            f"exact solves are gated to degree <= {EXACT_MAX_DEGREE}, got {poly.degree}"
-        )
 
     roots: list[ComplexScalar] = []
     traces: list[DescentTrace] = []
-    iterations = 0
-
-    zero_order = poly.trailing_zero_order()
-    if zero_order:
-        roots.extend([descent_start(poly)] * zero_order)
-    work = Polynomial(poly.coeffs[zero_order:])
-
+    work = poly
     while work.degree >= 1:
         try:
             root, trace = descend_to_root(work, descent_start(work), config)
-            iterations += len(trace.steps)
             traces.append(trace)
             root, polish_trace = descend_to_root(poly, root, config, phase="polish")
         except ConvergenceError as err:
-            iterations += len(err.trace.steps)
-            partial = _package(poly, roots, traces + [err.trace], iterations)
+            partial = _package(poly, roots, traces + [err.trace])
             raise SolveError(
                 f"stalled after {len(roots)} of {poly.degree} roots: {err}",
                 partial,
                 err,
             ) from err
         except NonFiniteObjectiveError as err:
-            partial = _package(poly, roots, traces, iterations)
+            partial = _package(poly, roots, traces)
             raise SolveError(
                 f"stopped after {len(roots)} of {poly.degree} roots: {err}",
                 partial,
                 err,
             ) from err
-        iterations += len(polish_trace.steps)
         if polish_trace.steps:
             traces.append(polish_trace)
 
         roots.append(root)
         work, _ = work.deflate(root)
 
-    return _package(poly, roots, traces, iterations)
+    return _package(poly, roots, traces)
 
 
 def _package(
-    original: Polynomial,
-    roots: list[ComplexScalar],
-    traces: list[DescentTrace],
-    iterations: int,
+    original: Polynomial, roots: list[ComplexScalar], traces: list[DescentTrace]
 ) -> RootResult:
     ordered = tuple(sorted(roots, key=lambda z: (z.re, z.im)))
     residuals = tuple(original.evaluate(z).one_norm() for z in ordered)
     return RootResult(
         roots=ordered,
         residual_one_norms=residuals,
-        iterations=iterations,
+        iterations=sum(len(t.steps) for t in traces),
         traces=tuple(traces),
     )
 

@@ -4,15 +4,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fourops
 from fourops import solver
-from fourops.cli import TRACE_FIELDS, UsageError, _parse_term, main
+from fourops.cli import TRACE_FIELDS, UsageError, _parse_term, main, parse_inline_coeffs
+from fourops.sampling import SplitMix64
 from fourops.scalars import ComplexScalar
-from fourops.solver import positive_nth_root
+from fourops.solver import DEFAULT_CONFIG, positive_nth_root
 
 # ---------------------------------------------------------------------------
 # solve
@@ -230,6 +232,82 @@ def test_trace_objective_overflow_exits_3(capsys, tmp_path):
     path = tmp_path / "steps.csv"
     assert main(["trace", "--coeffs=1e160+1e160i,1", "--csv", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# f(0) is finite, but the steering value alpha = conj(P(0)) * P'(0) at the
+# start 0 overflows to (inf, -9.6e113).
+ALPHA_OVERFLOW = "--coeffs=1e308,2.843928618668299-9.563391706754466e-195i"
+
+
+def test_solve_steering_value_overflow_exits_3(capsys):
+    assert main(["solve", ALPHA_OVERFLOW]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["iterations: 0"]
+    assert captured.err.startswith("error: stopped after 0 of 1 roots: no float descent direction")
+
+
+def test_trace_steering_value_overflow_exits_3(capsys, tmp_path):
+    assert main(["trace", ALPHA_OVERFLOW, "--csv", str(tmp_path / "steps.csv")]) == 3
+    assert capsys.readouterr().err.startswith("error: no float descent direction")
+
+
+def _fuzz_part(rng):
+    """One coefficient part: 0, +-1e308, +-5e-324, a mantissa in +-10 times
+    10^e for e in [-320, 308], or a plain mantissa in +-10."""
+    kind = rng.next_u64() % 8
+    if kind < 2:
+        return "0"
+    sign = "-" if rng.next_u64() % 2 else ""
+    if kind == 2:
+        return sign + ("1e308" if rng.next_u64() % 2 else "5e-324")
+    mantissa = repr(10 * rng.unit_float())
+    if kind < 5:
+        return f"{sign}{mantissa}e{rng.next_u64() % 629 - 320}"
+    return sign + mantissa
+
+
+def _fuzz_coeffs(rng):
+    """2 to 21 terms (degree 1-20 unless the top ones are 0), half complex."""
+    terms = []
+    for _ in range(2 + rng.next_u64() % 20):
+        term = _fuzz_part(rng)
+        if rng.next_u64() % 2:
+            im = _fuzz_part(rng)
+            term += ("" if im.startswith("-") else "+") + im + "i"
+        terms.append(term)
+    return ",".join(terms)
+
+
+def test_seeded_fuzz_exits_cleanly_and_meets_the_residual_target(capsys, tmp_path):
+    # solve --json and trace --csv alternate over seeded draws across the
+    # float range.  Every exit is 0, 2 or 3, never a traceback.  A solve
+    # that exits 0 holds each root to |P(z)| <= tol * ||P||_1, so the
+    # one-norm residual to sqrt(2) times that; tol and ||P||_1 divide one
+    # at a time, since their product can underflow to 0.
+    rng = SplitMix64(27)
+    csv_path = str(tmp_path / "steps.csv")
+    exits = Counter()
+    for draw in range(400):
+        coeffs = _fuzz_coeffs(rng)
+        flags = [f"--coeffs={coeffs}"]
+        tol = DEFAULT_CONFIG.residual_tol
+        if rng.next_u64() % 4 == 0:
+            tol = 10.0 ** -(3 + rng.next_u64() % 12)
+            flags.append(f"--tol={tol!r}")
+        command = ["solve", "--json"] if draw % 2 == 0 else ["trace", "--csv", csv_path]
+        code = main(command + flags)
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3), flags
+        exits[command[0], code] += 1
+        if command[0] == "solve" and code == 0:
+            poly = parse_inline_coeffs(coeffs)
+            payload = json.loads(out)
+            assert len(payload["roots"]) == poly.degree
+            scale = poly.coeff_one_norm()
+            for residual in payload["residual_one_norms"]:
+                assert residual / scale / tol <= 1.42, flags
+    # The draws reach every clean exit of both commands.
+    assert all(exits[command, code] for command in ("solve", "trace") for code in (0, 2, 3))
 
 
 def test_solve_nonconvergence_exit_code(capsys, monkeypatch):

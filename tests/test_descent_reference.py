@@ -244,7 +244,7 @@ def ref_start(p):
 
 def ref_find_all_roots(p, config, escalations):
     """Roots in the order found, and the traces, as ``find_all_roots`` keeps
-    them (no roots at 0 in the inputs used here)."""
+    them.  A root at 0 is no special case: its descent takes no step."""
     roots, traces = [], []
     work = p
     while work.degree >= 1:
@@ -374,6 +374,33 @@ def test_fraction_polynomial_matches_reference():
     result = find_all_roots(polys[-1])
     assert repr(result.traces) == repr(tuple(traces))
     assert repr(result.roots) == repr(tuple(sorted(roots, key=lambda z: (z.re, z.im))))
+
+
+def test_roots_at_zero_match_reference():
+    # A root at 0 takes a 0-step descent from the start 0, since f(0) = 0
+    # meets the stop test, and a division by z - 0, like any other root.
+    rng = SplitMix64(63)
+    polys = []
+    for degree in range(1, 9):
+        roots = [random_float_complex(rng, 2.0) for _ in range(degree)]
+        polys.append(Polynomial.from_roots([C(0.0, 0.0)] * (1 + degree % 3) + roots))
+    for degree in range(1, 4):
+        roots = [
+            C(Fraction(rng.next_u64() % 7 - 3, 1 + rng.next_u64() % 4), rng.next_u64() % 3 - 1)
+            for _ in range(degree)
+        ]
+        polys.append(Polynomial.from_roots([C(0, 0)] * (4 - degree) + roots))
+    # int and Fraction coefficients mixed: z^2 (z^2 + 4/3 z + 2), whose
+    # first nonzero descent escalates.
+    polys.append(Polynomial.from_scalars([0, 0, 2, Fraction(4, 3), 1]))
+    for p in polys:
+        roots, traces = ref_find_all_roots(p, SolverConfig(), None)
+        result = find_all_roots(p)
+        assert repr(result.traces) == repr(tuple(traces))
+        assert repr(result.roots) == repr(tuple(sorted(roots, key=lambda z: (z.re, z.im))))
+        assert result.iterations == sum(len(t.steps) for t in traces)
+        at_zero = sum(1 for z in result.roots if z.is_zero)
+        assert sum(1 for t in result.traces if not t.steps) >= at_zero > 0
 
 
 def test_non_finite_objective_message_matches_reference():

@@ -14,9 +14,11 @@ from fourops.estermann import (
     candidate_set,
     estermann_zeta,
     pick_descent_direction,
+    steepest_candidate,
     verify_lemma_direct,
     verify_lemma_termwise,
 )
+from fourops.poly import NonFiniteObjectiveError
 from fourops.sampling import SplitMix64, random_nonzero_exact_complex
 from fourops.scalars import I, ONE, ComplexScalar, check_norm_product
 
@@ -388,3 +390,18 @@ def test_pick_float_mode():
     pick = pick_descent_direction(C(1.0, 0.5), 2)
     assert isinstance(pick.zeta.re, float)
     assert _directed_real_part(C(1.0, 0.5), pick) < 0
+
+
+@pytest.mark.parametrize(
+    "alpha, k",
+    [
+        (complex(math.inf, -9.563391706754467e113), 1),  # overflowed
+        (complex(math.inf, -9.563391706754467e113), 2),
+        (complex(math.nan, 1.0), 3),
+        (complex(5e-324, 0.0), 2),  # every quadrant product underflows to 0
+    ],
+)
+def test_float_pick_outside_the_float_range_raises_non_finite(alpha, k):
+    with pytest.raises(NonFiniteObjectiveError, match="no float descent direction"):
+        steepest_candidate(alpha, k)
+

@@ -67,12 +67,6 @@ def test_coeff_one_norm():
     assert p.coeff_one_norm() == 4
 
 
-def test_trailing_zero_order():
-    assert Polynomial.from_scalars([0, 0, 0, 1]).trailing_zero_order() == 3
-    assert Polynomial.from_scalars([0, 0, -1, 1]).trailing_zero_order() == 2
-    assert Polynomial.from_scalars([5, 1]).trailing_zero_order() == 0
-
-
 # ---------------------------------------------------------------------------
 # evaluation and objective
 # ---------------------------------------------------------------------------

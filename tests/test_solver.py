@@ -303,6 +303,27 @@ def test_objective_out_of_float_range_is_a_solve_error():
     assert err.partial.iterations == 0
 
 
+def test_steering_value_out_of_float_range_is_a_solve_error():
+    # f(0) is finite, but alpha = conj(P(0)) * P'(0) overflows to
+    # (inf, -9.6e113), so no float direction has Re[alpha * zeta] < 0.
+    with pytest.raises(SolveError) as info:
+        find_all_roots(P(1e308, C(2.843928618668299, -9.563391706754466e-195)))
+    err = info.value
+    assert isinstance(err.cause, NonFiniteObjectiveError)
+    assert "no float descent direction" in str(err)
+    assert err.partial.roots == ()
+    assert err.partial.iterations == 0
+
+
+def test_root_at_zero_has_a_zero_step_descent():
+    result = find_all_roots(P(0.0, 0.0, -1.0, 1.0))  # z^2 (z - 1)
+    zero = [t for t in result.traces if t.final_z == C(0.0, 0.0)]
+    assert [(t.phase, t.steps, t.final_f, t.converged) for t in zero] == [
+        ("descent", (), 0.0, True)
+    ] * 2
+    assert result.iterations == sum(len(t.steps) for t in result.traces)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_find_all_roots_rejects_non_finite_coefficients(bad):
     with pytest.raises(ValueError, match="coefficient 1 "):
