@@ -43,13 +43,7 @@ from typing import Iterable, Sequence
 
 from .scalars import ComplexScalar, ZERO, _Frozen, _setattr, complex_from_json, complex_to_json
 
-# A shifted coefficient counts as vanished (float backend only) when its
-# one_norm is at most this fraction of the largest shifted coefficient
-# one_norm.  Tight enough that genuine terms of reasonably scaled inputs
-# survive, loose enough that pure rounding debris does not fake a term.
-REL_ZERO_EPS = 2.0**-40
-
-__all__ = ["REL_ZERO_EPS", "NonFiniteObjectiveError", "Polynomial", "ShiftDecomposition"]
+__all__ = ["NonFiniteObjectiveError", "Polynomial", "ShiftDecomposition"]
 
 
 class NonFiniteObjectiveError(ArithmeticError):
@@ -223,18 +217,15 @@ class Polynomial(_Frozen):
         """Expand P around z0 by n rounds of synthetic division (Horner with
         remainders), giving P(z0 + h) = P(z0) + h^k Q(h) with Q(0) != 0.
 
-        Exact backend: k is the first index >= 1 whose shifted coefficient
-        is exactly nonzero.  Float backend: a coefficient is treated as
-        vanished when its one_norm is <= REL_ZERO_EPS times the largest
-        shifted coefficient one_norm, which keeps k stable when z0 sits
-        near a root and low coefficients turn into rounding residue.
+        In both backends k is the first index >= 1 whose shifted
+        coefficient is nonzero (``shift_order``).
         """
         n = self.degree
         if n < 1:
             raise ValueError("taylor_shift requires degree >= 1")
-        coeffs, w, exact = self.kernel_args(z0)
+        coeffs, w, _ = self.kernel_args(z0)
         b = shifted(coeffs, w)
-        order = shift_order(shift_norms(b), exact)
+        order = shift_order(shift_norms(b))
         values = [ComplexScalar(v.real, v.imag) for v in b[:n]]
         values.append(self.coeffs[n])
         return ShiftDecomposition(values[0], order, Polynomial(tuple(values[order:])))
@@ -469,35 +460,7 @@ def shift_norms(b) -> list:
     return [abs(v.real) + abs(v.imag) for v in b]
 
 
-def certifies_order_one(slope, norms, z) -> bool:
-    """Whether the float ``shift_order`` at z is surely 1, in O(n) and
-    without the shift, from P'(z) = ``slope`` and the polynomial's
-    coefficient one-norms ``norms`` (True when surely 1, False when
-    unknown).
-
-    With N the one-norm, each exact shifted coefficient has
-    N(b_j) <= sum over i >= j of C(i, j) N(a_i) N(z)^(i-j), so summing
-    over j gives max_j N(b_j) <= B = sum_i N(a_i) (1 + N(z))^i, one real
-    Horner pass.  When N(P'(z)) > REL_ZERO_EPS * B, b_1 clears the
-    vanishing threshold of every shifted coefficient; the factor
-    1 + 2^-20 absorbs the rounding of B, of the shift and of the norms.
-    B = inf or NaN fails the test."""
-    t = 1 + abs(z.real) + abs(z.imag)
-    bound = 0
-    for v in reversed(norms):
-        bound = bound * t + v
-    return abs(slope.real) + abs(slope.imag) > REL_ZERO_EPS * bound * (1 + 2.0**-20)
-
-
-def shift_order(norms, exact: bool) -> int:
-    """The order k of a shift from its coefficient norms, by the rule of
-    ``Polynomial.taylor_shift``.  A norm is 0 exactly when the coefficient
-    is."""
-    n = len(norms) - 1
-    if not exact:
-        threshold = REL_ZERO_EPS * max(norms)
-        for j in range(1, n + 1):
-            if norms[j] > threshold:
-                return j
-        # Badly scaled input: fall back to the literal reading.
-    return next(j for j in range(1, n + 1) if norms[j] != 0)
+def shift_order(norms) -> int:
+    """The order k of a shift from its coefficient norms: the first j >= 1
+    whose norm is nonzero.  A norm is 0 exactly when the coefficient is."""
+    return next(j for j in range(1, len(norms)) if norms[j] != 0)

@@ -2,27 +2,28 @@
 
 One descent round at a point z:
 
-1. Shift: P(z + h) = P(z) + h^k Q(h) with Q(0) != 0 (``taylor_shift``).
-   Float backend: each round tries the Newton step once, exactly when
-   k = 1: zeta = -P(z) conj(Q(0)) / |Q(0)|^2 at r = 1 (the one division
-   is by a real number), accepted when f(z + zeta) <= f(z) / 2.  With
-   alpha as below, Re[alpha * zeta] = -f(z), so that is the sufficient
-   decrease of step 3 at r = 1, and the per-step certificate, which is
-   about r < 1, has nothing to check.  Newton is skipped when |Q(0)|^2 is
-   0 or not finite, or when the trial leaves the float range, and a
-   skipped or rejected trial falls back to steps 2 and 3.
-   ``certifies_order_one`` proves k = 1 in O(n) from P'(z) and the
-   coefficient one-norms; only when it is inconclusive does the O(n^2)
-   shift give the order first.  P(z) and Q(0) = P'(z) come from one
-   two-row Horner pass (``horner_slope``, the shift's first two rows bit
-   for bit) carried over from the previous round's trial, so a certified
-   round whose Newton step is taken costs O(n), and every iterate is the
-   one the full shift would give.
+1. Shift: P(z + h) = P(z) + h^k Q(h) with Q(0) != 0 (``taylor_shift``),
+   k the first order whose coefficient is nonzero, in both backends.
+   Float backend: each round first tries the Newton step once:
+   zeta = -P(z) conj(P'(z)) / |P'(z)|^2 at r = 1 (the one division is by
+   a real number), accepted when f(z + zeta) <= f(z) / 2.  The order is
+   1 exactly when P'(z) != 0, and then Q(0) = P'(z); with alpha as below,
+   Re[alpha * zeta] = -f(z), so that is the sufficient decrease of step 3
+   at r = 1, and the per-step certificate, which is about r < 1, has
+   nothing to check.  Newton is skipped when |P'(z)|^2 is 0 or not
+   finite, or when the trial leaves the float range, and a skipped or
+   rejected trial falls back to the O(n^2) shift and steps 2 and 3.
+   P(z) and P'(z) come from one two-row Horner pass (``horner_slope``,
+   the shift's first two rows bit for bit) carried over from the previous
+   round's trial, so a round whose Newton step is taken costs O(n), and
+   every iterate is the one the full shift would give.
 2. Steer: alpha = conj(P(z)) * Q(0); pick the candidate direction zeta
    with the most negative normalized Re[alpha * zeta^k]
    (``pick_descent_direction``; such a direction always exists for
-   alpha != 0, but a float alpha can overflow where f(z) does not, and
-   the descent then stops with NonFiniteObjectiveError).
+   alpha != 0).  A float alpha that underflows to 0 moves the round to
+   the next nonzero order, as an exhausted line search does (below); one
+   that overflows where f(z) does not stops the descent with
+   NonFiniteObjectiveError.
 3. Step: backtracking line search over the fixed schedule
    r = 1, 1/2, 1/4, ... until the sufficient decrease
 
@@ -121,7 +122,6 @@ from .poly import (
     NonFiniteObjectiveError,
     Polynomial,
     ShiftDecomposition,
-    certifies_order_one,
     gaussian_ray,
     gaussian_shifted,
     horner_slope,
@@ -434,27 +434,20 @@ def descend_to_root(
         if not exact:
             # P(w) and P'(w), carried from round to round.
             value, slope = horner_slope(coeffs, w)
-            norms = poly.coeff_norms()
         while not met(f_z):
             if len(steps) >= max_outer:
                 failure = f"no convergence within {max_outer} descent rounds"
                 break
-            # A float round tries Newton once, exactly at order 1: proved in
-            # O(n) by certifies_order_one, else read off the shift.
-            shift = newton = None
-            if exact or not certifies_order_one(slope, norms, w):
-                shift = shift_type(shift_coeffs, w)
-            if not exact and (shift is None or shift.order == 1):
-                newton = _newton_trial(coeffs, w, value, slope)
+            # A float round tries Newton once.  The order is 1 exactly when
+            # P'(w) != 0, and the trial declines where P'(w) = 0.
+            newton = None if exact else _newton_trial(coeffs, w, value, slope)
             # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
             if newton is not None and newton[5] < f_z and newton[5] <= f_z * 0.5:
                 alpha, zeta, w, value, slope, f_trial = newton
                 step = _newton_step(z, f_z, alpha, zeta)
                 f_z = f_trial
             else:
-                accepted = _descent_round(
-                    shift or shift_type(shift_coeffs, w), z, f_z, max_backtracks
-                )
+                accepted = _descent_round(shift_type(shift_coeffs, w), z, f_z, max_backtracks)
                 if accepted is None:
                     failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
                     break
@@ -520,7 +513,7 @@ class _FloatShift:
         self.coeffs, self.w = coeffs, w
         self.b = shifted(coeffs, w)
         self.norms = shift_norms(self.b)
-        self.order = shift_order(self.norms, False)
+        self.order = shift_order(self.norms)
 
     def alpha(self, k: int) -> complex:
         """conj(P(w)) * b_k."""
@@ -568,7 +561,7 @@ class _ExactShift:
         self.b_re, self.b_im = gaussian_shifted(re, im, x, y, d)
         self.ints = ints and isinstance(z.re, int) and isinstance(z.im, int)
         self.norms = [abs(u) + abs(v) for u, v in zip(self.b_re, self.b_im)]
-        self.order = shift_order(self.norms, True)
+        self.order = shift_order(self.norms)
 
     def alpha(self, k: int) -> ComplexScalar:
         """conj(P(z)) * b_k."""
@@ -645,13 +638,17 @@ def _descent_round(
     """The candidate round at z (steps 2 and 3 of the module docstring)
     from its Taylor shift.  Returns the step, the accepted point in the
     shift's value type and its objective, or None when the line search
-    exhausts its shrinks at every usable order."""
+    exhausts its shrinks at every usable order.  An order whose float
+    alpha underflows to 0 is passed over as if its line search had run
+    out."""
     norms = shift.norms
     order = detected = shift.order
-    while True:
+    while order is not None:
         alpha = shift.alpha(order)
-        candidate, zeta, rate = steepest_candidate(alpha, order)
-        found = shift.search(zeta, order, -rate, f_z, max_backtracks)
+        found = None
+        if alpha.real != 0 or alpha.imag != 0:
+            candidate, zeta, rate = steepest_candidate(alpha, order)
+            found = shift.search(zeta, order, -rate, f_z, max_backtracks)
         if found is not None:
             backtracks, r, trial, f_trial = found
             if order != detected:
@@ -676,8 +673,7 @@ def _descent_round(
         # docstring); retry the round at the next nonzero order, dropping
         # the stranded coefficients.
         order = next((j for j in range(order + 1, len(norms)) if norms[j] != 0), None)
-        if order is None:
-            return None
+    return None
 
 
 def _newton_polish(

@@ -251,6 +251,22 @@ def test_trace_steering_value_overflow_exits_3(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: no float descent direction")
 
 
+# The order at 0 is 1, but alpha = conj(P(0)) * P'(0) underflows to 0.
+ALPHA_UNDERFLOW = "--coeffs=8.85902118327365e-86,1.2624436241066084e-286"
+
+
+def test_solve_steering_value_underflow_exits_3(capsys):
+    assert main(["solve", ALPHA_UNDERFLOW]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["iterations: 0"]
+    assert "at every usable order" in captured.err
+
+
+def test_trace_steering_value_underflow_exits_3(capsys, tmp_path):
+    assert main(["trace", ALPHA_UNDERFLOW, "--csv", str(tmp_path / "steps.csv")]) == 3
+    assert "at every usable order" in capsys.readouterr().err
+
+
 def _fuzz_part(rng):
     """One coefficient part: 0, +-1e308, +-5e-324, a mantissa in +-10 times
     10^e for e in [-320, 308], or a plain mantissa in +-10."""

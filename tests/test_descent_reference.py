@@ -4,12 +4,13 @@ of the whole trace (every ``DescentStep``, signed zeros and float bits
 included) and the steering rule of every step.
 
 The reference is the round as the solver's docstring states it: Taylor
-shift by repeated synthetic division, the order by the float or exact
-rule, in floats at order 1 the Newton step zeta = -b0 conj(b1) / |b1|^2
-taken at r = 1 when it halves f, else alpha = conj(P(z)) * Q(0), the
-steepest candidate, the bound M, and the backtracking line search with its
-sufficient-decrease test, plus the retry at the next nonzero order when
-the line search runs out, in both backends.  The float polish is Newton
+shift by repeated synthetic division, the order as the first nonzero
+coefficient past the constant, in floats the Newton step
+zeta = -b0 conj(b1) / |b1|^2 taken at r = 1 when it halves f, else
+alpha = conj(P(z)) * Q(0), the steepest candidate, the bound M, and the
+backtracking line search with its sufficient-decrease test, plus the
+retry at the next nonzero order when the line search runs out or alpha
+underflows to 0, in both backends.  The float polish is Newton
 steps on P and P' from a two-row Horner pass while f falls, checked
 against the residual target at the end.  Every descent starts at 0: exact
 0 for an exact polynomial, 0.0 otherwise.  The solver runs the same
@@ -23,7 +24,7 @@ import pytest
 
 from fourops import solver
 from fourops.estermann import DirectionCandidate, candidate_set
-from fourops.poly import REL_ZERO_EPS, NonFiniteObjectiveError, Polynomial
+from fourops.poly import NonFiniteObjectiveError, Polynomial
 from fourops.sampling import SplitMix64, random_float_complex
 from fourops.scalars import ComplexScalar, ZERO
 from fourops.solver import (
@@ -59,21 +60,15 @@ def ref_objective(p, z):
     return prod.re
 
 
-def ref_shift(p, z0, exact):
-    """(b, order) with P(z0 + h) = sum_j b_j h^j."""
+def ref_shift(p, z0):
+    """(b, order) with P(z0 + h) = sum_j b_j h^j and order the first j >= 1
+    with b_j != 0."""
     n = p.degree
     b = list(p.coeffs)
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             b[j] = b[j] + z0 * b[j + 1]
-    if exact:
-        return b, next(j for j in range(1, n + 1) if not b[j].is_zero)
-    norms = [c.one_norm() for c in b]
-    threshold = REL_ZERO_EPS * max(norms)
-    order = next((j for j in range(1, n + 1) if norms[j] > threshold), None)
-    if order is None:
-        order = next(j for j in range(1, n + 1) if not b[j].is_zero)
-    return b, order
+    return b, next(j for j in range(1, n + 1) if not b[j].is_zero)
 
 
 def ref_pick(alpha, k):
@@ -188,9 +183,9 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
         if len(steps) >= max_outer:
             trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)
             raise ConvergenceError("max_outer", best_z, best_f, trace)
-        b, order = ref_shift(p, z, exact)
+        b, order = ref_shift(p, z)
         detected = order
-        newton = ref_newton(b[0], b[1]) if order == 1 and not exact else None
+        newton = None if exact else ref_newton(b[0], b[1])
         if newton is not None:
             alpha, zeta = newton
             trial = C(z.re + zeta.re, z.im + zeta.im)
@@ -205,16 +200,17 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
         accepted = None
         while accepted is None:
             alpha = b[0].conj() * b[order]
-            cand, num = ref_pick(alpha, order)
-            r = step_init
-            for backtracks in range(max_backtracks + 1):
-                trial = C(z.re + cand.zeta.re * r, z.im + cand.zeta.im * r)
-                f_trial = ref_objective(p, trial)
-                if f_trial < f_z and 2 * (f_z - f_trial) >= r**order * -num:
-                    accepted = (trial, f_trial, r, backtracks)
-                    break
-                r = r * shrink
-            else:
+            if not alpha.is_zero:
+                cand, num = ref_pick(alpha, order)
+                r = step_init
+                for backtracks in range(max_backtracks + 1):
+                    trial = C(z.re + cand.zeta.re * r, z.im + cand.zeta.im * r)
+                    f_trial = ref_objective(p, trial)
+                    if f_trial < f_z and 2 * (f_z - f_trial) >= r**order * -num:
+                        accepted = (trial, f_trial, r, backtracks)
+                        break
+                    r = r * shrink
+            if accepted is None:
                 higher = [j for j in range(order + 1, len(b)) if not b[j].is_zero]
                 if not higher:
                     trace = DescentTrace(z_start, tuple(steps), z, f_z, False, phase)

@@ -97,7 +97,7 @@ def test_shift_alpha_and_bound_match_fraction_kernels():
             scale = denom * d ** (n - j)
             assert C(Fraction(b_re[j], scale), Fraction(b_im[j], scale)) == b[j]
         shift = solver._ExactShift(p.gaussian_coeffs(), z)
-        assert shift.order == shift_order(norms, True)
+        assert shift.order == shift_order(norms)
         ints_cases += shift.ints
         for k in range(1, n + 1):
             if b[k].is_zero:

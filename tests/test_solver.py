@@ -315,6 +315,28 @@ def test_steering_value_out_of_float_range_is_a_solve_error():
     assert err.partial.iterations == 0
 
 
+def test_steering_value_underflow_is_a_solve_error():
+    # P'(0) is nonzero, so the order at 0 is 1, but |P'(0)|^2 underflows, so
+    # Newton declines, and alpha = conj(P(0)) * P'(0) underflows to 0: the
+    # round passes over order 1 and has no higher order to move to.
+    with pytest.raises(SolveError) as info:
+        find_all_roots(P(8.85902118327365e-86, 1.2624436241066084e-286))
+    err = info.value
+    assert isinstance(err.cause, ConvergenceError)
+    assert "at every usable order" in str(err)
+    assert err.partial.roots == ()
+    assert err.partial.iterations == 0
+
+
+def test_escalation_steps_over_a_tiny_first_order():
+    # At 0 the order of z^2 + 1e-20 z + 1 is 1, but no float step along
+    # the real axis lowers f, so the first step escalates to order 2.
+    result = find_all_roots(P(1.0, 1e-20, 1.0))
+    assert result.roots == (C(-5e-21, -1.0), C(-5e-21, 1.0))
+    first = result.traces[0].steps[0]
+    assert (first.order, first.rule) == (2, "escalated")
+
+
 def test_root_at_zero_has_a_zero_step_descent():
     result = find_all_roots(P(0.0, 0.0, -1.0, 1.0))  # z^2 (z - 1)
     zero = [t for t in result.traces if t.final_z == C(0.0, 0.0)]
@@ -499,29 +521,3 @@ def test_newton_rounds_build_no_taylor_shift(monkeypatch):
     assert len(calls) == sum(s.rule != "newton" for s in steps) > 0
     assert len(steps) > 4 * len(calls)
 
-
-def test_order_one_certificate_is_a_pure_shortcut(monkeypatch):
-    # ``certifies_order_one`` only spares the shift: with it always
-    # inconclusive, every float round reads its order off the shift and
-    # still takes Newton at order 1, and every outcome keeps its bits.
-    def outcomes():
-        rng = SplitMix64(25)
-        got = []
-        for degree in range(1, 21):
-            roots = [
-                C(random_box_float(rng, 2.0), random_box_float(rng, 2.0)) for _ in range(degree)
-            ]
-            try:
-                result = find_all_roots(Polynomial.from_roots(roots), SolverConfig(1e-12))
-            except SolveError as err:
-                result = err.partial
-                got.append("SolveError")
-            got.append(repr(result))
-            descent = [s for t in result.traces if t.phase == "descent" for s in t.steps]
-            got.append(sum(s.rule == "newton" for s in descent))
-        return got
-
-    certified = outcomes()
-    monkeypatch.setattr(solver, "certifies_order_one", lambda slope, norms, w: False)
-    assert outcomes() == certified
-    assert sum(n for n in certified if isinstance(n, int)) > 100
