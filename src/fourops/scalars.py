@@ -48,9 +48,10 @@ The package's value types (``ComplexScalar`` here, ``Polynomial``,
 ``SolverConfig``, ``RootResult`` and the rest) are hand-written frozen
 ``__slots__`` classes on ``_Frozen``, which gives them the immutability,
 ``==``, ``hash``, repr and pickling of a frozen slotted dataclass at no
-import cost.  The two exact verdicts build on its subclass
-``_LazyFields``, whose fields are built from the verdict's integers on
-first read.
+import cost.  Its subclass ``_LazyFields`` holds values whose fields are
+built on first read from the parts their producer computed: the two
+exact verdicts, from their integers, and ``solver.DescentTrace``, whose
+float Newton steps wait as builtin ``complex`` values for their records.
 """
 
 from __future__ import annotations
@@ -256,13 +257,13 @@ def product_bounds_hold(lower: Scalar, value: Scalar, upper: Scalar) -> bool:
 
 
 class _LazyFields(_Frozen):
-    """Immutable verdict whose fields are built from integer parts on first
-    read.
+    """Immutable value whose fields are built from its parts on first read.
 
     A subclass lists its public fields as its ``__slots__`` and
-    ``__match_args__``, and keeps the integers its check computed in the
-    ``_parts`` slot, or None when the public constructor was given the
-    fields themselves.  Its predicates decide on ``_parts`` when it is
+    ``__match_args__``, and keeps the parts its producer computed (a
+    check's integers, a descent's unbuilt steps) in the ``_parts``
+    slot, or None when the public constructor was given the fields
+    themselves.  A verdict's predicates decide on ``_parts`` when it is
     set.  The first read of a field (``==``, ``hash`` and ``repr`` read
     every field) calls the subclass's ``_field_values()`` and stores the
     results.  Immutability, equality, hashing, the repr and pickling are
@@ -273,9 +274,9 @@ class _LazyFields(_Frozen):
 
     @classmethod
     def _from_parts(cls, parts):
-        verdict = object.__new__(cls)
-        _setattr(verdict, "_parts", parts)
-        return verdict
+        value = object.__new__(cls)
+        _setattr(value, "_parts", parts)
+        return value
 
     def _set_fields(self, values) -> None:
         for name, value in zip(self.__match_args__, values):

@@ -71,12 +71,15 @@ backends: steering, escalation, the rule and the ``DescentStep``.
 
 In floats the shift, the order, alpha, the direction, the bound M and
 every line-search trial stay in ``complex``, through the kernels of
-``poly`` and ``estermann.steepest_candidate``; only the ``DescentStep``
-and the accepted point are built as ``ComplexScalar`` (the round returns
-the trial point in its own type; the Newton step divides float parts by
-the real |Q(0)|^2).  CPython computes complex + and x with
-the same IEEE expressions as ``ComplexScalar``, so both types take the
-same iterates bit for bit.  A trial point is built from its parts,
+``poly`` and ``estermann.steepest_candidate``, and so does the iterate
+between rounds (the round returns the trial point in its own type; the
+Newton step divides float parts by the real |Q(0)|^2).  A candidate
+round's ``DescentStep`` is built with its point as a ``ComplexScalar``;
+a Newton step is kept as its complex values, and its record is built
+when its trace is first read (``DescentTrace``); the point reached is
+built once, when the descent ends.  CPython computes complex + and x
+with the same IEEE expressions as ``ComplexScalar``, so both types take
+the same iterates bit for bit.  A trial point is built from its parts,
 z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
 multiplies by x+0j, which changes signed zeros and inf*0.  The public
 ``taylor_shift``, ``pick_descent_direction`` and
@@ -132,7 +135,7 @@ from .poly import (
     square_modulus,
     value_square_modulus,
 )
-from .scalars import ComplexScalar, Scalar, ZERO, _Frozen, _setattr, gaussian_parts
+from .scalars import ComplexScalar, Scalar, ZERO, _Frozen, _LazyFields, _setattr, gaussian_parts
 
 __all__ = [
     "SolverConfig",
@@ -205,7 +208,8 @@ class DescentStep(_Frozen):
     Newton step at r = 1, recorded with k = 1 and direction (zeta, zeta);
     its ``m_bound`` is None, since the certificate covers r < 1 only).
     The rule is left out of the repr, which stays a record of the iterates
-    alone."""
+    alone.  A float solve builds its Newton records when their trace is
+    first read (``DescentTrace``)."""
 
     __slots__ = __match_args__ = (
         "z",
@@ -243,10 +247,17 @@ class DescentStep(_Frozen):
         _setattr(self, "rule", rule)
 
 
-class DescentTrace(_Frozen):
+class DescentTrace(_LazyFields):
     """One descent (``phase`` "descent") or polish ("polish"): where it
     started, every accepted step, where it ended and whether it met its
-    stop test."""
+    stop test.
+
+    ``descend_to_root`` builds its trace from parts: the fields, with a
+    float Newton step kept as the tuple (z, f, alpha, zeta) of the values
+    at hand, z the start as given or a builtin ``complex`` point and
+    alpha and zeta ``complex``.  The first read of a field builds the
+    step records (``_newton_step``), so a solve whose traces are never
+    read builds no Newton record."""
 
     __slots__ = __match_args__ = ("start", "steps", "final_z", "final_f", "converged", "phase")
 
@@ -265,6 +276,12 @@ class DescentTrace(_Frozen):
         _setattr(self, "final_f", final_f)
         _setattr(self, "converged", converged)
         _setattr(self, "phase", phase)
+        _setattr(self, "_parts", None)
+
+    def _field_values(self) -> tuple:
+        start, steps, final_z, final_f, converged, phase = self._parts
+        steps = tuple([s if s.__class__ is DescentStep else _newton_step(*s) for s in steps])
+        return start, steps, final_z, final_f, converged, phase
 
 
 class RootResult(_Frozen):
@@ -421,8 +438,10 @@ def descend_to_root(
     def met(f) -> bool:
         return (f <= stop) if tol_scale is None else (f / tol_scale / tol_scale <= 1)
 
+    # The point of the next step's record: z_start as given, then w.
     z = z_start
-    steps: list[DescentStep] = []
+    # DescentStep records, and float Newton steps as (z, f, alpha, zeta).
+    steps: list = []
     failure = None
     if phase == "polish" and not exact:
         w, f_z = _newton_polish(coeffs, w, max_outer, steps)
@@ -444,9 +463,11 @@ def descend_to_root(
             # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
             if newton is not None and newton[5] < f_z and newton[5] <= f_z * 0.5:
                 alpha, zeta, w, value, slope, f_trial = newton
-                step = _newton_step(z, f_z, alpha, zeta)
+                step = (z, f_z, alpha, zeta)
                 f_z = f_trial
             else:
+                if isinstance(z, complex):
+                    z = ComplexScalar(z.real, z.imag)
                 accepted = _descent_round(shift_type(shift_coeffs, w), z, f_z, max_backtracks)
                 if accepted is None:
                     failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
@@ -454,28 +475,25 @@ def descend_to_root(
                 step, w, f_z = accepted
                 if not exact:
                     value, slope = horner_slope(coeffs, w)
-            z = ComplexScalar(w.real, w.imag)
+            z = w
             steps.append(step)
-    trace = DescentTrace(z_start, tuple(steps), z, f_z, failure is None, phase)
+        if isinstance(z, complex):
+            z = ComplexScalar(z.real, z.imag)
+    trace = DescentTrace._from_parts((z_start, steps, z, f_z, failure is None, phase))
     if failure is not None:
         raise ConvergenceError(f"{failure} (best f = {f_z})", z, f_z, trace)
     return z, trace
 
 
-def _newton_step(z: ComplexScalar, f_z, alpha: complex, zeta: complex) -> DescentStep:
-    """The record of a Newton step from z (see ``DescentStep``)."""
+def _newton_step(z, f_z, alpha: complex, zeta: complex) -> DescentStep:
+    """The record of a Newton step from z, a ``ComplexScalar`` or a
+    ``complex`` (see ``DescentStep``): order 1, r 1, no backtracks and no
+    ``m_bound``."""
+    if isinstance(z, complex):
+        z = ComplexScalar(z.real, z.imag)
+    alpha = ComplexScalar(alpha.real, alpha.imag)
     zeta = ComplexScalar(zeta.real, zeta.imag)
-    return DescentStep(
-        z=z,
-        f_value=f_z,
-        order=1,
-        alpha=ComplexScalar(alpha.real, alpha.imag),
-        direction=DirectionCandidate(zeta, zeta),
-        r_accepted=1.0,
-        backtracks=0,
-        m_bound=None,
-        rule="newton",
-    )
+    return DescentStep(z, f_z, 1, alpha, DirectionCandidate(zeta, zeta), 1.0, 0, None, "newton")
 
 
 def _newton_trial(coeffs: tuple, w: complex, value: complex, slope: complex):
@@ -680,8 +698,8 @@ def _newton_polish(
     coeffs: tuple, w: complex, max_steps: int, steps: list
 ) -> tuple[complex, float]:
     """Newton steps from w on the float kernels' coefficients, each taken
-    at r = 1 and appended to steps, while f > 0, a step lowers f and fewer
-    than max_steps are taken.  P and P' come from one two-row Horner pass
+    at r = 1 and appended to steps as (w, f, alpha, zeta), while f > 0, a
+    step lowers f and fewer than max_steps are taken.  P and P' come from one two-row Horner pass
     per point.  Returns the point reached and its objective; raises
     NonFiniteObjectiveError when f(w) itself is not finite."""
     value, slope = horner_slope(coeffs, w)
@@ -693,7 +711,7 @@ def _newton_polish(
         alpha, zeta, trial, trial_value, trial_slope, f_trial = newton
         if not f_trial < f_w:
             break
-        steps.append(_newton_step(ComplexScalar(w.real, w.imag), f_w, alpha, zeta))
+        steps.append((w, f_w, alpha, zeta))
         w, value, slope, f_w = trial, trial_value, trial_slope, f_trial
     return w, f_w
 
@@ -739,7 +757,7 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
                 partial,
                 err,
             ) from err
-        if polish_trace.steps:
+        if _step_count(polish_trace):
             traces.append(polish_trace)
 
         roots.append(root)
@@ -756,9 +774,15 @@ def _package(
     return RootResult(
         roots=ordered,
         residual_one_norms=residuals,
-        iterations=sum(len(t.steps) for t in traces),
+        iterations=sum(_step_count(t) for t in traces),
         traces=tuple(traces),
     )
+
+
+def _step_count(trace: DescentTrace) -> int:
+    """len(trace.steps) of a trace from ``descend_to_root``, read off its
+    parts, so that the solver itself builds no record."""
+    return len(trace._parts[1])
 
 
 def _real_pow(x: float, n: int) -> float:

@@ -20,9 +20,10 @@ import pytest
 import fourops
 from fourops.estermann import DirectionCandidate, DirectVerdict, verify_lemma_termwise
 from fourops.poly import Polynomial, ShiftDecomposition
+from fourops.sampling import SplitMix64, random_box_float
 from fourops.scalars import ComplexScalar as C
 from fourops.scalars import check_norm_product
-from fourops.solver import DescentStep, DescentTrace, RootResult, SolverConfig
+from fourops.solver import DescentStep, DescentTrace, RootResult, SolverConfig, find_all_roots
 
 # Each class's __match_args__: its fields, which are also its constructor
 # parameters, in order, every one positional-or-keyword.
@@ -379,6 +380,107 @@ def test_every_name_is_frozen(obj):
         with pytest.raises(FrozenInstanceError):
             delattr(obj, name)
     assert not hasattr(obj, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# lazy traces
+# ---------------------------------------------------------------------------
+
+
+def parts(trace):
+    return object.__getattribute__(trace, "_parts")
+
+
+def unread(trace):
+    """A fresh trace with the parts of trace, none of its fields built."""
+    return DescentTrace._from_parts(parts(trace))
+
+
+@pytest.fixture(scope="module")
+def float_traces():
+    """Every trace of seeded float solves at degrees 1-20."""
+    rng = SplitMix64(29)
+    traces = []
+    for degree in range(1, 21):
+        roots = [C(random_box_float(rng, 2.0), random_box_float(rng, 2.0)) for _ in range(degree)]
+        traces += find_all_roots(Polynomial.from_roots(roots)).traces
+    return traces
+
+
+def test_newton_records_are_the_values_an_eager_record_is_given(float_traces):
+    newton = 0
+    for trace in float_traces:
+        for raw, step in zip(parts(trace)[1], trace.steps):
+            if type(raw) is DescentStep:
+                assert raw is step
+                continue
+            newton += 1
+            z, f, alpha, zeta = raw
+            z = C(z.real, z.imag) if isinstance(z, complex) else z
+            direction = DirectionCandidate(C(zeta.real, zeta.imag), C(zeta.real, zeta.imag))
+            eager = DescentStep(
+                z=z,
+                f_value=f,
+                order=1,
+                alpha=C(alpha.real, alpha.imag),
+                direction=direction,
+                r_accepted=1.0,
+                backtracks=0,
+                m_bound=None,
+                rule="newton",
+            )
+            assert step == eager and repr(step) == repr(eager) and step.rule == "newton"
+    assert newton > 1000
+
+
+def test_lazy_traces_equal_eager_ones(float_traces):
+    names = MATCH_ARGS[DescentTrace]
+    for trace in float_traces:
+        eager = DescentTrace(*(getattr(unread(trace), name) for name in names))
+        assert unread(trace) == eager and eager == unread(trace) and trace == eager
+        assert hash(unread(trace)) == hash(eager)
+        assert repr(unread(trace)) == repr(eager)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(unread(trace), protocol))
+            assert type(back) is DescentTrace and back == eager and repr(back) == repr(eager)
+        for back in (copy.copy(unread(trace)), copy.deepcopy(unread(trace))):
+            assert type(back) is DescentTrace and back == eager and repr(back) == repr(eager)
+        match unread(trace):
+            case DescentTrace(start, steps, final_z, final_f, converged, phase):
+                assert (start, steps, final_z, final_f, converged, phase) == eager._values()
+            case _:
+                pytest.fail("a lazy trace does not match DescentTrace(...)")
+
+
+def test_an_unread_trace_is_frozen(float_traces):
+    for name in (*MATCH_ARGS[DescentTrace], "_parts", "other"):
+        trace = unread(float_traces[0])
+        with pytest.raises(FrozenInstanceError):
+            setattr(trace, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(trace, name)
+    assert not hasattr(unread(float_traces[0]), "__dict__")
+
+
+def test_a_float_solve_builds_no_newton_record_until_its_trace_is_read():
+    # Fresh from a solve, a trace has built no field and holds its Newton
+    # steps as tuples, and iterations was counted without building them;
+    # one read builds every field and every record.
+    poly = Polynomial.from_roots([C(0.5, -1.25), C(-1.5, 0.75), C(1.0, 1.0)])
+    result = find_all_roots(poly)
+    raw = [s for t in result.traces for s in parts(t)[1]]
+    assert result.iterations == len(raw)
+    assert sum(type(s) is tuple for s in raw) > 3
+    for trace in result.traces:
+        for name in MATCH_ARGS[DescentTrace]:
+            with pytest.raises(AttributeError):
+                object.__getattribute__(trace, name)
+    trace = result.traces[0]
+    assert trace.phase == "descent"
+    steps = object.__getattribute__(trace, "steps")
+    assert len(steps) == len(parts(trace)[1])
+    assert all(type(s) is DescentStep for s in steps)
+    assert [s.rule for s in steps].count("newton") == sum(type(s) is tuple for s in parts(trace)[1])
 
 
 # ---------------------------------------------------------------------------
