@@ -12,11 +12,13 @@ One descent round at a point z:
    at r = 1, and the per-step certificate, which is about r < 1, has
    nothing to check.  Newton is skipped when |P'(z)|^2 is 0 or not
    finite, or when the trial leaves the float range, and a skipped or
-   rejected trial falls back to the O(n^2) shift and steps 2 and 3.
-   P(z) and P'(z) come from one two-row Horner pass (``horner_slope``,
-   the shift's first two rows bit for bit) carried over from the previous
-   round's trial, so a round whose Newton step is taken costs O(n), and
-   every iterate is the one the full shift would give.
+   rejected trial falls back to steps 2 and 3.  P(z) and P'(z) come from
+   one two-row Horner pass (``horner_slope``, the shift's b_0 and b_1 bit
+   for bit) carried over from the previous round's trial, so every round
+   at order 1 costs O(n), Newton taken or not: steps 2 and 3 read only
+   alpha = conj(P(z)) * P'(z).  The O(n^2) shift is built where P'(z) = 0,
+   when the round escalates (below), or when its step's record is read,
+   for the bound M; every iterate is the one the full shift would give.
 2. Steer: alpha = conj(P(z)) * Q(0); pick the candidate direction zeta
    with the most negative normalized Re[alpha * zeta^k]
    (``pick_descent_direction``; such a direction always exists for
@@ -67,21 +69,23 @@ start are exact (``Polynomial.kernel_args``), else ``_FloatShift`` on
 builtin ``complex``, with any int or Fraction part of the start rounded
 to float.  The loop of ``descend_to_root`` holds the one Newton decision
 of a float round; ``_descent_round`` is the candidate round of both
-backends: steering, escalation, the rule and the ``DescentStep``.
+backends: steering, escalation, the rule and the parts of the step's
+``DescentStep`` (``_candidate_step``), which an exact descent builds at
+once.
 
 In floats the shift, the order, alpha, the direction, the bound M and
 every line-search trial stay in ``complex``, through the kernels of
 ``poly`` and ``estermann.steepest_candidate``, and so does the iterate
 between rounds (the round returns the trial point in its own type; the
-Newton step divides float parts by the real |Q(0)|^2).  A candidate
-round's ``DescentStep`` is built with its point as a ``ComplexScalar``;
-a Newton step is kept as its complex values, and its record is built
-when its trace is first read (``DescentTrace``); the point reached is
-built once, when the descent ends.  CPython computes complex + and x
-with the same IEEE expressions as ``ComplexScalar``, so both types take
-the same iterates bit for bit.  A trial point is built from its parts,
-z.re + zeta.re*r and z.im + zeta.im*r: a complex times a float
-multiplies by x+0j, which changes signed zeros and inf*0.  The public
+Newton step divides float parts by the real |Q(0)|^2).  Every float
+step, Newton or candidate, is kept as the values at hand, its round's
+``_FloatShift`` among them for a candidate step, and its record is built
+when its trace is first read (``DescentTrace``), M with it; the point
+reached is built once, when the descent ends.  CPython computes complex
++ and x with the same IEEE expressions as ``ComplexScalar``, so both
+types take the same iterates bit for bit.  A trial point is built from
+its parts, z.re + zeta.re*r and z.im + zeta.im*r: a complex times a
+float multiplies by x+0j, which changes signed zeros and inf*0.  The public
 ``taylor_shift``, ``pick_descent_direction`` and
 ``certified_decrease_bound`` wrap the same kernels at the API boundary.
 
@@ -208,8 +212,8 @@ class DescentStep(_Frozen):
     Newton step at r = 1, recorded with k = 1 and direction (zeta, zeta);
     its ``m_bound`` is None, since the certificate covers r < 1 only).
     The rule is left out of the repr, which stays a record of the iterates
-    alone.  A float solve builds its Newton records when their trace is
-    first read (``DescentTrace``)."""
+    alone.  A float solve builds its records, and ``m_bound`` with them,
+    when their trace is first read (``DescentTrace``)."""
 
     __slots__ = __match_args__ = (
         "z",
@@ -252,12 +256,15 @@ class DescentTrace(_LazyFields):
     started, every accepted step, where it ended and whether it met its
     stop test.
 
-    ``descend_to_root`` builds its trace from parts: the fields, with a
-    float Newton step kept as the tuple (z, f, alpha, zeta) of the values
-    at hand, z the start as given or a builtin ``complex`` point and
-    alpha and zeta ``complex``.  The first read of a field builds the
-    step records (``_newton_step``), so a solve whose traces are never
-    read builds no Newton record."""
+    ``descend_to_root`` builds its trace from parts: the fields, with
+    each float step kept as a tuple of the values at hand, z the start as
+    given or a builtin ``complex`` point and alpha and zeta ``complex``.
+    A Newton step is (z, f, alpha, zeta), and a candidate step is
+    (shift, z, f, order, alpha, candidate, r, backtracks, rule) with its
+    round's ``_FloatShift``.  The first read of a field builds the step
+    records (``_newton_step``, ``_candidate_step``), so a solve whose
+    traces are never read builds no float record, and no Taylor shift
+    where its rounds are all at order 1."""
 
     __slots__ = __match_args__ = ("start", "steps", "final_z", "final_f", "converged", "phase")
 
@@ -280,7 +287,15 @@ class DescentTrace(_LazyFields):
 
     def _field_values(self) -> tuple:
         start, steps, final_z, final_f, converged, phase = self._parts
-        steps = tuple([s if s.__class__ is DescentStep else _newton_step(*s) for s in steps])
+        # Exact records come built; float Newton parts are 4-tuples.
+        steps = tuple(
+            [
+                s if s.__class__ is DescentStep
+                else _newton_step(*s) if len(s) == 4
+                else _candidate_step(*s)
+                for s in steps
+            ]
+        )
         return start, steps, final_z, final_f, converged, phase
 
 
@@ -425,11 +440,8 @@ def descend_to_root(
         tol = Fraction(tol)
         max_outer = min(max_outer, EXACT_MAX_OUTER)
         max_backtracks = EXACT_MAX_BACKTRACKS
-    # The round's shift and line search: on Gaussian integers when exact,
-    # else on the kernels' complex values.
-    shift_type, shift_coeffs = (
-        (_ExactShift, poly.gaussian_coeffs()) if exact else (_FloatShift, coeffs)
-    )
+    # An exact round's shift and line search run on Gaussian integers.
+    gaussian = poly.gaussian_coeffs() if exact else None
     scale = poly.coeff_one_norm()
     stop = tol * tol * scale * scale
     # Past the float range, test f / (tol*scale)^2 <= 1 instead.
@@ -440,7 +452,7 @@ def descend_to_root(
 
     # The point of the next step's record: z_start as given, then w.
     z = z_start
-    # DescentStep records, and float Newton steps as (z, f, alpha, zeta).
+    # DescentStep records, and float steps as parts (see DescentTrace).
     steps: list = []
     failure = None
     if phase == "polish" and not exact:
@@ -449,10 +461,12 @@ def descend_to_root(
         if not met(f_z):
             failure = f"Newton polish ended above the residual target after {len(steps)} steps"
     else:
-        f_z = poly.objective(z_start)
-        if not exact:
-            # P(w) and P'(w), carried from round to round.
+        if exact:
+            f_z = poly.objective(z_start)
+        else:
+            # P(w) and P'(w), carried from round to round; f(w) from P(w).
             value, slope = horner_slope(coeffs, w)
+            f_z = value_square_modulus(value, w)
         while not met(f_z):
             if len(steps) >= max_outer:
                 failure = f"no convergence within {max_outer} descent rounds"
@@ -466,14 +480,15 @@ def descend_to_root(
                 step = (z, f_z, alpha, zeta)
                 f_z = f_trial
             else:
-                if isinstance(z, complex):
-                    z = ComplexScalar(z.real, z.imag)
-                accepted = _descent_round(shift_type(shift_coeffs, w), z, f_z, max_backtracks)
+                shift = _ExactShift(gaussian, w) if exact else _FloatShift(coeffs, w, value, slope)
+                accepted = _descent_round(shift, z, f_z, max_backtracks)
                 if accepted is None:
                     failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
                     break
                 step, w, f_z = accepted
-                if not exact:
+                if exact:
+                    step = _candidate_step(*step)
+                else:
                     value, slope = horner_slope(coeffs, w)
             z = w
             steps.append(step)
@@ -494,6 +509,16 @@ def _newton_step(z, f_z, alpha: complex, zeta: complex) -> DescentStep:
     alpha = ComplexScalar(alpha.real, alpha.imag)
     zeta = ComplexScalar(zeta.real, zeta.imag)
     return DescentStep(z, f_z, 1, alpha, DirectionCandidate(zeta, zeta), 1.0, 0, None, "newton")
+
+
+def _candidate_step(shift, z, f_z, order: int, alpha, candidate, r, backtracks: int, rule: str):
+    """The record of a candidate round's step from z, a ``ComplexScalar``
+    or a ``complex``, with ``m_bound`` from the round's shift."""
+    if isinstance(z, complex):
+        z = ComplexScalar(z.real, z.imag)
+    m_bound = shift.bound(order, candidate.zeta.one_norm())
+    alpha = ComplexScalar(alpha.real, alpha.imag)
+    return DescentStep(z, f_z, order, alpha, candidate, r, backtracks, m_bound, rule)
 
 
 def _newton_trial(coeffs: tuple, w: complex, value: complex, slope: complex):
@@ -523,23 +548,36 @@ def _newton_trial(coeffs: tuple, w: complex, value: complex, slope: complex):
 
 class _FloatShift:
     """A float round's Taylor shift at w on the kernels' complex
-    coefficients, with its line search."""
+    coefficients, with its line search, from value = P(w) and slope =
+    P'(w) of ``horner_slope``, which are b_0 and b_1 bit for bit.  The
+    order is 1 exactly when P'(w) != 0, and alpha at order 1 is
+    conj(P(w)) * P'(w), so an order-1 round is O(n).  The O(n^2) shift b
+    and its ``norms`` are built on first use: where P'(w) = 0, when the
+    round escalates, or when its record is built and M is read."""
 
-    __slots__ = ("coeffs", "w", "b", "norms", "order")
+    __slots__ = ("coeffs", "w", "value", "slope", "b", "_norms", "order")
 
-    def __init__(self, coeffs: tuple, w: complex):
-        self.coeffs, self.w = coeffs, w
-        self.b = shifted(coeffs, w)
-        self.norms = shift_norms(self.b)
-        self.order = shift_order(self.norms)
+    def __init__(self, coeffs: tuple, w: complex, value: complex, slope: complex):
+        self.coeffs, self.w, self.value, self.slope = coeffs, w, value, slope
+        self._norms = None
+        self.order = 1 if slope.real != 0 or slope.imag != 0 else shift_order(self.norms)
+
+    @property
+    def norms(self) -> list:
+        """one_norm of each b_j, b built on first use."""
+        if self._norms is None:
+            self.b = shifted(self.coeffs, self.w)
+            self._norms = shift_norms(self.b)
+        return self._norms
 
     def alpha(self, k: int) -> complex:
-        """conj(P(w)) * b_k."""
-        return self.b[0].conjugate() * self.b[k]
+        """conj(P(w)) * b_k; past order 1 only after ``norms`` built b."""
+        return self.value.conjugate() * (self.slope if k == 1 else self.b[k])
 
     def bound(self, k: int, zeta_norm) -> Scalar:
         """M of ``certified_decrease_bound`` at order k."""
-        return _decrease_bound(self.norms[0], self.norms[k:], zeta_norm, k)
+        norms = self.norms
+        return _decrease_bound(norms[0], norms[k:], zeta_norm, k)
 
     def search(self, zeta: complex, k: int, descent_rate, f_z, max_backtracks: int):
         """The line search along zeta at order k over r = 1, 1/2, ...:
@@ -649,17 +687,16 @@ class _ExactShift:
 
 def _descent_round(
     shift: _FloatShift | _ExactShift,
-    z: ComplexScalar,
+    z: ComplexScalar | complex,
     f_z,
     max_backtracks: int,
-) -> tuple[DescentStep, complex | ComplexScalar, Scalar] | None:
+) -> tuple[tuple, complex | ComplexScalar, Scalar] | None:
     """The candidate round at z (steps 2 and 3 of the module docstring)
-    from its Taylor shift.  Returns the step, the accepted point in the
-    shift's value type and its objective, or None when the line search
-    exhausts its shrinks at every usable order.  An order whose float
-    alpha underflows to 0 is passed over as if its line search had run
-    out."""
-    norms = shift.norms
+    from its Taylor shift.  Returns the step's parts (the arguments of
+    ``_candidate_step``), the accepted point in the shift's value type and
+    its objective, or None when the line search exhausts its shrinks at
+    every usable order.  An order whose float alpha underflows to 0 is
+    passed over as if its line search had run out."""
     order = detected = shift.order
     while order is not None:
         alpha = shift.alpha(order)
@@ -675,21 +712,11 @@ def _descent_round(
                 rule = "quadrant"
             else:
                 rule = "unit"
-            step = DescentStep(
-                z=z,
-                f_value=f_z,
-                order=order,
-                alpha=ComplexScalar(alpha.real, alpha.imag),
-                direction=candidate,
-                r_accepted=r,
-                backtracks=backtracks,
-                m_bound=shift.bound(order, candidate.zeta.one_norm()),
-                rule=rule,
-            )
-            return step, trial, f_trial
+            return (shift, z, f_z, order, alpha, candidate, r, backtracks, rule), trial, f_trial
         # Exhausted: the order's coefficient is stranded (see module
         # docstring); retry the round at the next nonzero order, dropping
         # the stranded coefficients.
+        norms = shift.norms
         order = next((j for j in range(order + 1, len(norms)) if norms[j] != 0), None)
     return None
 

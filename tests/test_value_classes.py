@@ -23,7 +23,17 @@ from fourops.poly import Polynomial, ShiftDecomposition
 from fourops.sampling import SplitMix64, random_box_float
 from fourops.scalars import ComplexScalar as C
 from fourops.scalars import check_norm_product
-from fourops.solver import DescentStep, DescentTrace, RootResult, SolverConfig, find_all_roots
+from fourops import solver
+from fourops.solver import (
+    FLOAT_ORIGIN,
+    DescentStep,
+    DescentTrace,
+    RootResult,
+    SolverConfig,
+    certified_decrease_bound,
+    descend_to_root,
+    find_all_roots,
+)
 
 # Each class's __match_args__: its fields, which are also its constructor
 # parameters, in order, every one positional-or-keyword.
@@ -408,29 +418,45 @@ def float_traces():
 
 
 def test_newton_records_are_the_values_an_eager_record_is_given(float_traces):
-    newton = 0
+    # A float step waits in the parts as a Newton tuple (z, f, alpha, zeta)
+    # or as a candidate round's parts (shift, z, f, order, alpha, candidate,
+    # r, backtracks, rule); each builds the record an eager round gave, M
+    # taken from the Taylor shift of the descent's polynomial at z.
+    newton = candidates = 0
     for trace in float_traces:
         for raw, step in zip(parts(trace)[1], trace.steps):
             if type(raw) is DescentStep:
                 assert raw is step
                 continue
-            newton += 1
-            z, f, alpha, zeta = raw
-            z = C(z.real, z.imag) if isinstance(z, complex) else z
-            direction = DirectionCandidate(C(zeta.real, zeta.imag), C(zeta.real, zeta.imag))
+            if len(raw) == 4:
+                newton += 1
+                z, f, alpha, zeta = raw
+                z = C(z.real, z.imag) if isinstance(z, complex) else z
+                direction = DirectionCandidate(C(zeta.real, zeta.imag), C(zeta.real, zeta.imag))
+                order, r, backtracks, m_bound, rule = 1, 1.0, 0, None, "newton"
+            else:
+                candidates += 1
+                shift, z, f, order, alpha, direction, r, backtracks, rule = raw
+                z = C(z.real, z.imag) if isinstance(z, complex) else z
+                work = Polynomial(tuple(C(c.real, c.imag) for c in shift.coeffs))
+                decomposition = work.taylor_shift(z)
+                assert decomposition.order == order
+                b_k = decomposition.quotient.coeffs[0]
+                assert decomposition.base_value.conj() * b_k == C(alpha.real, alpha.imag)
+                m_bound = certified_decrease_bound(decomposition, direction)
             eager = DescentStep(
                 z=z,
                 f_value=f,
-                order=1,
+                order=order,
                 alpha=C(alpha.real, alpha.imag),
                 direction=direction,
-                r_accepted=1.0,
-                backtracks=0,
-                m_bound=None,
-                rule="newton",
+                r_accepted=r,
+                backtracks=backtracks,
+                m_bound=m_bound,
+                rule=rule,
             )
-            assert step == eager and repr(step) == repr(eager) and step.rule == "newton"
-    assert newton > 1000
+            assert step == eager and repr(step) == repr(eager) and step.rule == rule
+    assert newton > 1000 and candidates > 100
 
 
 def test_lazy_traces_equal_eager_ones(float_traces):
@@ -463,14 +489,16 @@ def test_an_unread_trace_is_frozen(float_traces):
 
 
 def test_a_float_solve_builds_no_newton_record_until_its_trace_is_read():
-    # Fresh from a solve, a trace has built no field and holds its Newton
-    # steps as tuples, and iterations was counted without building them;
-    # one read builds every field and every record.
+    # Fresh from a solve, a trace has built no field and holds its steps as
+    # parts: Newton steps as 4-tuples, candidate steps as 9-tuples; and
+    # iterations was counted without building them.  One read builds every
+    # field and every record.
     poly = Polynomial.from_roots([C(0.5, -1.25), C(-1.5, 0.75), C(1.0, 1.0)])
     result = find_all_roots(poly)
     raw = [s for t in result.traces for s in parts(t)[1]]
     assert result.iterations == len(raw)
-    assert sum(type(s) is tuple for s in raw) > 3
+    assert all(type(s) is tuple and len(s) in (4, 9) for s in raw)
+    assert sum(len(s) == 4 for s in raw) > 3
     for trace in result.traces:
         for name in MATCH_ARGS[DescentTrace]:
             with pytest.raises(AttributeError):
@@ -478,9 +506,50 @@ def test_a_float_solve_builds_no_newton_record_until_its_trace_is_read():
     trace = result.traces[0]
     assert trace.phase == "descent"
     steps = object.__getattribute__(trace, "steps")
-    assert len(steps) == len(parts(trace)[1])
+    raw = parts(trace)[1]
+    assert len(steps) == len(raw)
     assert all(type(s) is DescentStep for s in steps)
-    assert [s.rule for s in steps].count("newton") == sum(type(s) is tuple for s in parts(trace)[1])
+    rules = [s.rule for s in steps]
+    assert rules.count("newton") == sum(len(s) == 4 for s in raw)
+    assert len(rules) - rules.count("newton") == sum(len(s) == 9 for s in raw) > 0
+
+
+@pytest.fixture
+def shift_count(monkeypatch):
+    """The number of O(n^2) Taylor shifts the solver has built."""
+    count = [0]
+    build = solver.shifted
+
+    def counted(coeffs, z):
+        count[0] += 1
+        return build(coeffs, z)
+
+    monkeypatch.setattr(solver, "shifted", counted)
+    return lambda: count[0]
+
+
+def test_order_one_rounds_build_the_shift_only_when_their_record_is_read(shift_count):
+    rng = SplitMix64(29)
+    results = []
+    for degree in range(1, 13):
+        roots = [C(random_box_float(rng, 2.0), random_box_float(rng, 2.0)) for _ in range(degree)]
+        results.append(find_all_roots(Polynomial.from_roots(roots)))
+    assert shift_count() == 0
+    steps = [s for result in results for t in result.traces for s in t.steps]
+    candidates = [s for s in steps if s.rule != "newton"]
+    assert len(candidates) > 50 and all(s.order == 1 and s.rule == "unit" for s in candidates)
+    assert shift_count() == len(candidates)
+
+
+def test_a_round_past_order_one_builds_its_shift_once(shift_count):
+    # P'(0) = 0 on z^5 - 2, so the first round needs the shift for its order;
+    # its record reuses that shift, and every later round is at order 1.
+    poly = Polynomial.from_scalars([-2.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    _, trace = descend_to_root(poly, FLOAT_ORIGIN)
+    assert shift_count() == 1
+    candidates = [s for s in trace.steps if s.rule != "newton"]
+    assert candidates[0] is trace.steps[0] and trace.steps[0].order == 5
+    assert shift_count() == len(candidates)
 
 
 # ---------------------------------------------------------------------------
