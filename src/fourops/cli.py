@@ -106,12 +106,14 @@ def load_polynomial(args) -> Polynomial:
                 payload = json.load(fh)
         except OSError as err:
             raise UsageError(f"cannot read {args.input}: {err}") from None
-        except json.JSONDecodeError as err:
+        # Bad JSON, a file that is not UTF-8, or arrays nested too deep.
+        except (ValueError, RecursionError) as err:
             raise UsageError(f"bad JSON in {args.input}: {err}") from None
         try:
             poly = Polynomial.from_json(payload)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+        # ArithmeticError: an int past the float range, or a rational "p/0".
+        except (ArithmeticError, ValueError) as err:
+            raise UsageError(f"bad polynomial in {args.input}: {err}") from None
     if poly.degree < 1:
         raise UsageError("degree must be >= 1")
     try:

@@ -51,7 +51,7 @@ The package's value types (``ComplexScalar`` here, ``Polynomial``,
 import cost.  Its subclass ``_LazyFields`` holds values whose fields are
 built on first read from the parts their producer computed: the two
 exact verdicts, from their integers, and ``solver.DescentTrace``, whose
-float Newton steps wait as builtin ``complex`` values for their records.
+steps, exact or float, wait as the parts of their records.
 """
 
 from __future__ import annotations

@@ -69,18 +69,17 @@ start are exact (``Polynomial.kernel_args``), else ``_FloatShift`` on
 builtin ``complex``, with any int or Fraction part of the start rounded
 to float.  The loop of ``descend_to_root`` holds the one Newton decision
 of a float round; ``_descent_round`` is the candidate round of both
-backends: steering, escalation, the rule and the parts of the step's
-``DescentStep`` (``_candidate_step``), which an exact descent builds at
-once.
+backends: steering, escalation, the rule and the parts of the step.
+Every step, exact or float, Newton or candidate, is kept as the same
+parts, its round's shift among them (None for Newton), and
+``_step_record`` builds its ``DescentStep``, M with it, when its trace is
+first read (``DescentTrace``).
 
 In floats the shift, the order, alpha, the direction, the bound M and
 every line-search trial stay in ``complex``, through the kernels of
 ``poly`` and ``estermann.steepest_candidate``, and so does the iterate
 between rounds (the round returns the trial point in its own type; the
-Newton step divides float parts by the real |Q(0)|^2).  Every float
-step, Newton or candidate, is kept as the values at hand, its round's
-``_FloatShift`` among them for a candidate step, and its record is built
-when its trace is first read (``DescentTrace``), M with it; the point
+Newton step divides float parts by the real |Q(0)|^2); the point
 reached is built once, when the descent ends.  CPython computes complex
 + and x with the same IEEE expressions as ``ComplexScalar``, so both
 types take the same iterates bit for bit.  A trial point is built from
@@ -97,11 +96,11 @@ shift: at r = 2^-b it is an integer over K^2 * 2^(2bn)
 (``poly.gaussian_ray`` and ``poly.ray_square_modulus``), and both parts of
 the sufficient decrease compare integers, with no Fraction and no gcd per
 trial.  alpha, the direction pick and M are integer products as well.  A
-Fraction is built only for what the accepted ``DescentStep`` records
-(alpha, M, r, the accepted point and its f), and an int where every
-coefficient part and both parts of z are ints, which is what
-``ComplexScalar`` arithmetic gives; so the exact iterates and records are
-those of the rational arithmetic, type for type.
+Fraction is built only for what the step's record reads (alpha, M, r,
+the accepted point and its f), and an int where every coefficient part
+and both parts of z are ints, which is what ``ComplexScalar`` arithmetic
+gives; so the exact iterates and records are those of the rational
+arithmetic, type for type.
 
 ``descent_start`` is the one origin rule of both backends: a descent
 begins at exact 0 on an exact polynomial and at 0.0 otherwise.
@@ -212,8 +211,8 @@ class DescentStep(_Frozen):
     Newton step at r = 1, recorded with k = 1 and direction (zeta, zeta);
     its ``m_bound`` is None, since the certificate covers r < 1 only).
     The rule is left out of the repr, which stays a record of the iterates
-    alone.  A float solve builds its records, and ``m_bound`` with them,
-    when their trace is first read (``DescentTrace``)."""
+    alone.  A solve builds its records, and ``m_bound`` with them, when
+    their trace is first read (``DescentTrace``)."""
 
     __slots__ = __match_args__ = (
         "z",
@@ -257,14 +256,14 @@ class DescentTrace(_LazyFields):
     stop test.
 
     ``descend_to_root`` builds its trace from parts: the fields, with
-    each float step kept as a tuple of the values at hand, z the start as
-    given or a builtin ``complex`` point and alpha and zeta ``complex``.
-    A Newton step is (z, f, alpha, zeta), and a candidate step is
-    (shift, z, f, order, alpha, candidate, r, backtracks, rule) with its
-    round's ``_FloatShift``.  The first read of a field builds the step
-    records (``_newton_step``, ``_candidate_step``), so a solve whose
-    traces are never read builds no float record, and no Taylor shift
-    where its rounds are all at order 1."""
+    each step kept as the tuple (shift, z, f, order, alpha, direction, r,
+    backtracks, rule) of the values at hand.  shift is the candidate
+    round's ``_FloatShift`` or ``_ExactShift``, or None for a Newton step,
+    whose direction is its ``complex`` zeta; z is the start as given or
+    the round's point, a ``complex`` one in floats.  The first read of a
+    field builds every step record (``_step_record``), so a solve whose
+    traces are never read builds no record and no M, and no float Taylor
+    shift where its rounds are all at order 1."""
 
     __slots__ = __match_args__ = ("start", "steps", "final_z", "final_f", "converged", "phase")
 
@@ -287,15 +286,7 @@ class DescentTrace(_LazyFields):
 
     def _field_values(self) -> tuple:
         start, steps, final_z, final_f, converged, phase = self._parts
-        # Exact records come built; float Newton parts are 4-tuples.
-        steps = tuple(
-            [
-                s if s.__class__ is DescentStep
-                else _newton_step(*s) if len(s) == 4
-                else _candidate_step(*s)
-                for s in steps
-            ]
-        )
+        steps = tuple([_step_record(*s) for s in steps])
         return start, steps, final_z, final_f, converged, phase
 
 
@@ -452,7 +443,7 @@ def descend_to_root(
 
     # The point of the next step's record: z_start as given, then w.
     z = z_start
-    # DescentStep records, and float steps as parts (see DescentTrace).
+    # Each step as its parts (see DescentTrace).
     steps: list = []
     failure = None
     if phase == "polish" and not exact:
@@ -477,7 +468,7 @@ def descend_to_root(
             # Sufficient decrease at r = 1, since Re[alpha zeta] = -f.
             if newton is not None and newton[5] < f_z and newton[5] <= f_z * 0.5:
                 alpha, zeta, w, value, slope, f_trial = newton
-                step = (z, f_z, alpha, zeta)
+                step = (None, z, f_z, 1, alpha, zeta, 1.0, 0, "newton")
                 f_z = f_trial
             else:
                 shift = _ExactShift(gaussian, w) if exact else _FloatShift(coeffs, w, value, slope)
@@ -486,9 +477,7 @@ def descend_to_root(
                     failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
                     break
                 step, w, f_z = accepted
-                if exact:
-                    step = _candidate_step(*step)
-                else:
+                if not exact:
                     value, slope = horner_slope(coeffs, w)
             z = w
             steps.append(step)
@@ -500,25 +489,20 @@ def descend_to_root(
     return z, trace
 
 
-def _newton_step(z, f_z, alpha: complex, zeta: complex) -> DescentStep:
-    """The record of a Newton step from z, a ``ComplexScalar`` or a
-    ``complex`` (see ``DescentStep``): order 1, r 1, no backtracks and no
-    ``m_bound``."""
+def _step_record(shift, z, f_z, order: int, alpha, direction, r, backtracks: int, rule: str):
+    """The ``DescentStep`` of a step's parts (see ``DescentTrace``), from
+    z a ``ComplexScalar`` or a ``complex``.  A candidate step takes
+    ``m_bound`` from its round's shift; a Newton step (shift None) has
+    direction (zeta, zeta) and no ``m_bound``."""
     if isinstance(z, complex):
         z = ComplexScalar(z.real, z.imag)
+    if shift is None:
+        zeta = ComplexScalar(direction.real, direction.imag)
+        direction, m_bound = DirectionCandidate(zeta, zeta), None
+    else:
+        m_bound = shift.bound(order, direction.zeta.one_norm())
     alpha = ComplexScalar(alpha.real, alpha.imag)
-    zeta = ComplexScalar(zeta.real, zeta.imag)
-    return DescentStep(z, f_z, 1, alpha, DirectionCandidate(zeta, zeta), 1.0, 0, None, "newton")
-
-
-def _candidate_step(shift, z, f_z, order: int, alpha, candidate, r, backtracks: int, rule: str):
-    """The record of a candidate round's step from z, a ``ComplexScalar``
-    or a ``complex``, with ``m_bound`` from the round's shift."""
-    if isinstance(z, complex):
-        z = ComplexScalar(z.real, z.imag)
-    m_bound = shift.bound(order, candidate.zeta.one_norm())
-    alpha = ComplexScalar(alpha.real, alpha.imag)
-    return DescentStep(z, f_z, order, alpha, candidate, r, backtracks, m_bound, rule)
+    return DescentStep(z, f_z, order, alpha, direction, r, backtracks, m_bound, rule)
 
 
 def _newton_trial(coeffs: tuple, w: complex, value: complex, slope: complex):
@@ -693,7 +677,7 @@ def _descent_round(
 ) -> tuple[tuple, complex | ComplexScalar, Scalar] | None:
     """The candidate round at z (steps 2 and 3 of the module docstring)
     from its Taylor shift.  Returns the step's parts (the arguments of
-    ``_candidate_step``), the accepted point in the shift's value type and
+    ``_step_record``), the accepted point in the shift's value type and
     its objective, or None when the line search exhausts its shrinks at
     every usable order.  An order whose float alpha underflows to 0 is
     passed over as if its line search had run out."""
@@ -725,10 +709,11 @@ def _newton_polish(
     coeffs: tuple, w: complex, max_steps: int, steps: list
 ) -> tuple[complex, float]:
     """Newton steps from w on the float kernels' coefficients, each taken
-    at r = 1 and appended to steps as (w, f, alpha, zeta), while f > 0, a
-    step lowers f and fewer than max_steps are taken.  P and P' come from one two-row Horner pass
-    per point.  Returns the point reached and its objective; raises
-    NonFiniteObjectiveError when f(w) itself is not finite."""
+    at r = 1 and appended to steps as its parts (see ``DescentTrace``),
+    while f > 0, a step lowers f and fewer than max_steps are taken.  P
+    and P' come from one two-row Horner pass per point.  Returns the
+    point reached and its objective; raises NonFiniteObjectiveError when
+    f(w) itself is not finite."""
     value, slope = horner_slope(coeffs, w)
     f_w = value_square_modulus(value, w)
     while f_w != 0 and len(steps) < max_steps:
@@ -738,7 +723,7 @@ def _newton_polish(
         alpha, zeta, trial, trial_value, trial_slope, f_trial = newton
         if not f_trial < f_w:
             break
-        steps.append((w, f_w, alpha, zeta))
+        steps.append((None, w, f_w, 1, alpha, zeta, 1.0, 0, "newton"))
         w, value, slope, f_w = trial, trial_value, trial_slope, f_trial
     return w, f_w
 

@@ -193,6 +193,30 @@ def test_solve_rejects_non_finite_json_coefficients(capsys, tmp_path, text):
     assert "coefficient 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # A JSON int past the float range.
+        (b'{"coeffs": [[1' + b"0" * 400 + b", 0], [1, 0]]}", "int too large"),
+        # A rational with denominator 0.
+        (b'{"coeffs": [["1/0", 0], [1, 0]]}', "Fraction(1, 0)"),
+        # A file that is not UTF-8.
+        (b'{"coeffs": [["\xe9", 0], [1, 0]]}', "utf-8"),
+        # Arrays nested past the JSON decoder's recursion limit.
+        (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+    ],
+    ids=["int-overflow", "zero-denominator", "not-utf8", "deep-nesting"],
+)
+@pytest.mark.parametrize("command", ["solve", "trace"])
+def test_malformed_input_files_are_usage_errors(capsys, tmp_path, content, message, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    flags = ["--csv", str(tmp_path / "steps.csv")] if command == "trace" else []
+    assert main([command, *flags, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(path) in err
+
+
 def test_solve_rejects_rational_beyond_float_range(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"coeffs": [[f"{10**400}/1", "0/1"], ["1/1", "0/1"]]}))

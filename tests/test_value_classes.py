@@ -417,46 +417,83 @@ def float_traces():
     return traces
 
 
-def test_newton_records_are_the_values_an_eager_record_is_given(float_traces):
-    # A float step waits in the parts as a Newton tuple (z, f, alpha, zeta)
-    # or as a candidate round's parts (shift, z, f, order, alpha, candidate,
-    # r, backtracks, rule); each builds the record an eager round gave, M
-    # taken from the Taylor shift of the descent's polynomial at z.
-    newton = candidates = 0
+@pytest.fixture(scope="module")
+def exact_solves():
+    """(polynomial, trace) for every trace of the exact solves of
+    test_golden.py's set, each with the polynomial it descended on."""
+    rng = SplitMix64(7)
+
+    def small_rational():
+        return F(int(rng.next_u64() % 7) - 3, 1 + int(rng.next_u64() % 3))
+
+    solves = []
+    descend = solver.descend_to_root
+
+    def recorded(poly, z_start, config=solver.DEFAULT_CONFIG, phase="descent"):
+        root, trace = descend(poly, z_start, config, phase)
+        solves.append((poly, trace))
+        return root, trace
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "descend_to_root", recorded)
+        for degree in (1, 2, 3, 4, 1, 2, 3, 4):
+            roots = [C(small_rational(), small_rational()) for _ in range(degree)]
+            find_all_roots(Polynomial.from_roots(roots))
+    return solves
+
+
+def eager_record(raw, work):
+    """The DescentStep an eager round gave for a step's parts (shift, z, f,
+    order, alpha, direction, r, backtracks, rule): a Newton step (shift
+    None) has direction (zeta, zeta), r 1, no backtracks and no M; a
+    candidate step's order, alpha and M are read off the Taylor shift of
+    work, the descent's polynomial, at z, in ComplexScalar arithmetic."""
+    assert type(raw) is tuple and len(raw) == 9
+    shift, z, f, order, alpha, direction, r, backtracks, rule = raw
+    z = C(z.real, z.imag) if isinstance(z, complex) else z
+    if shift is None:
+        assert (order, r, backtracks, rule) == (1, 1.0, 0, "newton")
+        zeta = C(direction.real, direction.imag)
+        direction, m_bound = DirectionCandidate(zeta, zeta), None
+        alpha = C(alpha.real, alpha.imag)
+    else:
+        decomposition = work.taylor_shift(z)
+        assert decomposition.order == order
+        alpha = decomposition.base_value.conj() * decomposition.quotient.coeffs[0]
+        m_bound = certified_decrease_bound(decomposition, direction)
+    return DescentStep(
+        z=z,
+        f_value=f,
+        order=order,
+        alpha=alpha,
+        direction=direction,
+        r_accepted=r,
+        backtracks=backtracks,
+        m_bound=m_bound,
+        rule=rule,
+    )
+
+
+def test_newton_records_are_the_values_an_eager_record_is_given(float_traces, exact_solves):
+    # Every step, exact or float, Newton or candidate, waits in the parts
+    # as (shift, z, f, order, alpha, direction, r, backtracks, rule), and
+    # builds the record an eager round gave, M taken from the Taylor shift
+    # of the descent's polynomial at z; repr checks int and Fraction types.
+    float_solves = []
     for trace in float_traces:
+        # A float candidate step's shift holds the descent's coefficients.
+        shifts = [raw[0] for raw in parts(trace)[1] if raw[0] is not None]
+        work = Polynomial(tuple(C(c.real, c.imag) for c in shifts[0].coeffs)) if shifts else None
+        float_solves.append((work, trace))
+    counts = {}
+    for work, trace in float_solves + exact_solves:
         for raw, step in zip(parts(trace)[1], trace.steps):
-            if type(raw) is DescentStep:
-                assert raw is step
-                continue
-            if len(raw) == 4:
-                newton += 1
-                z, f, alpha, zeta = raw
-                z = C(z.real, z.imag) if isinstance(z, complex) else z
-                direction = DirectionCandidate(C(zeta.real, zeta.imag), C(zeta.real, zeta.imag))
-                order, r, backtracks, m_bound, rule = 1, 1.0, 0, None, "newton"
-            else:
-                candidates += 1
-                shift, z, f, order, alpha, direction, r, backtracks, rule = raw
-                z = C(z.real, z.imag) if isinstance(z, complex) else z
-                work = Polynomial(tuple(C(c.real, c.imag) for c in shift.coeffs))
-                decomposition = work.taylor_shift(z)
-                assert decomposition.order == order
-                b_k = decomposition.quotient.coeffs[0]
-                assert decomposition.base_value.conj() * b_k == C(alpha.real, alpha.imag)
-                m_bound = certified_decrease_bound(decomposition, direction)
-            eager = DescentStep(
-                z=z,
-                f_value=f,
-                order=order,
-                alpha=C(alpha.real, alpha.imag),
-                direction=direction,
-                r_accepted=r,
-                backtracks=backtracks,
-                m_bound=m_bound,
-                rule=rule,
-            )
-            assert step == eager and repr(step) == repr(eager) and step.rule == rule
-    assert newton > 1000 and candidates > 100
+            eager = eager_record(raw, work)
+            assert step == eager and repr(step) == repr(eager) and step.rule == raw[8]
+            kind = ("exact" if work is not None and work.is_exact() else "float", raw[0] is None)
+            counts[kind] = counts.get(kind, 0) + 1
+    assert counts[("float", True)] > 1000 and counts[("float", False)] > 100
+    assert counts[("exact", False)] > 50 and ("exact", True) not in counts
 
 
 def test_lazy_traces_equal_eager_ones(float_traces):
@@ -490,15 +527,14 @@ def test_an_unread_trace_is_frozen(float_traces):
 
 def test_a_float_solve_builds_no_newton_record_until_its_trace_is_read():
     # Fresh from a solve, a trace has built no field and holds its steps as
-    # parts: Newton steps as 4-tuples, candidate steps as 9-tuples; and
-    # iterations was counted without building them.  One read builds every
-    # field and every record.
+    # 9-part tuples, a Newton step's shift None; and iterations was counted
+    # without building them.  One read builds every field and every record.
     poly = Polynomial.from_roots([C(0.5, -1.25), C(-1.5, 0.75), C(1.0, 1.0)])
     result = find_all_roots(poly)
     raw = [s for t in result.traces for s in parts(t)[1]]
     assert result.iterations == len(raw)
-    assert all(type(s) is tuple and len(s) in (4, 9) for s in raw)
-    assert sum(len(s) == 4 for s in raw) > 3
+    assert all(type(s) is tuple and len(s) == 9 for s in raw)
+    assert sum(s[0] is None for s in raw) > 3
     for trace in result.traces:
         for name in MATCH_ARGS[DescentTrace]:
             with pytest.raises(AttributeError):
@@ -510,8 +546,8 @@ def test_a_float_solve_builds_no_newton_record_until_its_trace_is_read():
     assert len(steps) == len(raw)
     assert all(type(s) is DescentStep for s in steps)
     rules = [s.rule for s in steps]
-    assert rules.count("newton") == sum(len(s) == 4 for s in raw)
-    assert len(rules) - rules.count("newton") == sum(len(s) == 9 for s in raw) > 0
+    assert rules.count("newton") == sum(s[0] is None for s in raw)
+    assert len(rules) - rules.count("newton") == sum(s[0] is not None for s in raw) > 0
 
 
 @pytest.fixture
@@ -550,6 +586,24 @@ def test_a_round_past_order_one_builds_its_shift_once(shift_count):
     candidates = [s for s in trace.steps if s.rule != "newton"]
     assert candidates[0] is trace.steps[0] and trace.steps[0].order == 5
     assert shift_count() == len(candidates)
+
+
+def test_an_exact_solve_computes_no_bound_until_its_trace_is_read(monkeypatch):
+    count = [0]
+    bound = solver._ExactShift.bound
+
+    def counted(self, k, zeta_norm):
+        count[0] += 1
+        return bound(self, k, zeta_norm)
+
+    monkeypatch.setattr(solver._ExactShift, "bound", counted)
+    poly = Polynomial.from_roots([C(F(1, 2), -1), C(-2, F(1, 3)), C(1, 1)])
+    result = find_all_roots(poly)
+    assert count[0] == 0
+    steps = [s for t in result.traces for s in t.steps]
+    assert len(steps) == result.iterations > 0
+    assert all(s.rule != "newton" and type(s.m_bound) in (int, F) for s in steps)
+    assert count[0] == len(steps)
 
 
 # ---------------------------------------------------------------------------
