@@ -10,11 +10,13 @@ That single sign fact is what lets the descent solver move off any point
 where the leading correction term has even order.  It is verified here in
 two independent ways:
 
-* ``verify_lemma_direct``: compute zeta^k by repeated exact
-  multiplication and read off the signs.  Since
-  zeta = ((k^2 - 1) + 2k*i) / k^2, the multiplications run on the
-  Gaussian integer (k^2 - 1) + 2k*i, and zeta^k is its k-th power over
-  the one denominator k^(2k).
+* ``verify_lemma_direct``: compute zeta^k by exact multiplication and
+  read off the signs.  Since zeta = ((k^2 - 1) + 2k*i) / k^2, the
+  multiplications run on the Gaussian integer (k^2 - 1) + 2k*i, raised
+  to the k-th power by repeated squaring, and zeta^k is that power over
+  the one denominator k^(2k) > 0.  The verdict keeps the two integers
+  and reads its signs off them; the Fraction field is built on first
+  read.
 
 * ``verify_lemma_termwise``: expand (1 + i/k)^(2k) binomially and group
   the alternating series so every group is sign-definite.  Writing
@@ -118,20 +120,27 @@ def _require_even_k(k: int) -> None:
 
 def _zeta_power(k: int) -> tuple[int, int]:
     """Integers (pow_re, pow_im) with zeta^k = (pow_re + pow_im*i) / k^(2k):
-    the Gaussian integer (k^2 - 1) + 2k*i multiplied by itself k times."""
+    the k-th power of the Gaussian integer (k^2 - 1) + 2k*i, by repeated
+    squaring.  Integer arithmetic is exact, so these are the integers of
+    the k-fold product."""
     re, im = k * k - 1, 2 * k
     pow_re, pow_im = 1, 0
-    for _ in range(k):
-        pow_re, pow_im = pow_re * re - pow_im * im, pow_re * im + pow_im * re
-    return pow_re, pow_im
+    while True:
+        if k & 1:
+            pow_re, pow_im = pow_re * re - pow_im * im, pow_re * im + pow_im * re
+        k >>= 1
+        if not k:
+            return pow_re, pow_im
+        re, im = re * re - im * im, 2 * re * im
 
 
 def estermann_zeta(k: int) -> DirectionCandidate:
     """zeta = (1 + i/k)^2 with zeta^k attached, all exact; k even, k >= 2.
 
     zeta = (re + im*i) / k^2 with the integers re = k^2 - 1 and im = 2k.
-    The Gaussian integer re + im*i is multiplied by itself k times, and
-    the result is put over k^(2k) only when the Fractions are built.
+    The Gaussian integer re + im*i is raised to the k-th power
+    (``_zeta_power``), and the result is put over k^(2k) only when the
+    Fractions are built.
     """
     _require_even_k(k)
     re, im, den = k * k - 1, 2 * k, k * k
@@ -143,25 +152,40 @@ def estermann_zeta(k: int) -> DirectionCandidate:
     )
 
 
-class DirectVerdict(_Frozen):
+class DirectVerdict(_LazyFields):
     """Outcome of the direct check of the quadrant lemma for one k: the
     power zeta^k, multiplied out exactly, and whether it lies in the open
-    second quadrant."""
+    second quadrant.
+
+    ``verify_lemma_direct`` keeps the integers it computed as ``_parts``
+    = (k, pow_re, pow_im), with zeta^k = (pow_re + pow_im*i) / k^(2k).
+    ``holds`` reads their signs, since k^(2k) > 0; the field ``power`` is
+    built when first read.
+    """
 
     __slots__ = __match_args__ = ("k", "power")
 
     def __init__(self, k: int, power: ComplexScalar):
-        _setattr(self, "k", k)
-        _setattr(self, "power", power)
+        self._set_fields((k, power))
+        _setattr(self, "_parts", None)
+
+    def _field_values(self) -> tuple:
+        k, pow_re, pow_im = self._parts
+        den = k ** (2 * k)
+        return k, ComplexScalar(Fraction(pow_re, den), Fraction(pow_im, den))
 
     @property
     def holds(self) -> bool:
-        return self.power.re < 0 and self.power.im > 0
+        if self._parts is None:
+            return self.power.re < 0 and self.power.im > 0
+        _, pow_re, pow_im = self._parts
+        return pow_re < 0 and pow_im > 0
 
 
 def verify_lemma_direct(k: int) -> DirectVerdict:
-    """Sign check on zeta^k computed by repeated exact multiplication."""
-    return DirectVerdict(k, estermann_zeta(k).zeta_pow_k)
+    """Sign check on zeta^k computed by exact multiplication."""
+    _require_even_k(k)
+    return DirectVerdict._from_parts((k,) + _zeta_power(k))
 
 
 class TermwiseVerdict(_LazyFields):

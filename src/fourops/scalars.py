@@ -49,9 +49,11 @@ The package's value types (``ComplexScalar`` here, ``Polynomial``,
 ``__slots__`` classes on ``_Frozen``, which gives them the immutability,
 ``==``, ``hash``, repr and pickling of a frozen slotted dataclass at no
 import cost.  Its subclass ``_LazyFields`` holds values whose fields are
-built on first read from the parts their producer computed: the two
-exact verdicts, from their integers, and ``solver.DescentTrace``, whose
-steps, exact or float, wait as the parts of their records.
+built on first read from the parts their producer computed: the three
+exact verdicts (``NormProductVerdict`` here, the direct and termwise
+verdicts of ``estermann``), from their integers, and
+``solver.DescentTrace``, whose steps, exact or float, wait as the parts
+of their records.
 """
 
 from __future__ import annotations
@@ -260,8 +262,8 @@ class _LazyFields(_Frozen):
     """Immutable value whose fields are built from its parts on first read.
 
     A subclass lists its public fields as its ``__slots__`` and
-    ``__match_args__``, and keeps the parts its producer computed (a
-    check's integers, a descent's unbuilt steps) in the ``_parts``
+    ``__match_args__``, and keeps the parts its producer computed (an
+    exact verdict's integers, a descent's unbuilt steps) in the ``_parts``
     slot, or None when the public constructor was given the fields
     themselves.  A verdict's predicates decide on ``_parts`` when it is
     set.  The first read of a field (``==``, ``hash`` and ``repr`` read
@@ -345,10 +347,11 @@ def check_norm_product(z: ComplexScalar, w: ComplexScalar) -> NormProductVerdict
 
     When every part is an int or a Fraction, both norms are computed on
     the integer numerators over the common denominator d*f (see the module
-    docstring), and ``holds`` is decided on those integers; the verdict's
-    fields are built as Fractions when first read.  Int parts give int
-    norms, as int arithmetic always has.  A pair with a float part is
-    evaluated in float arithmetic.
+    docstring), each part read with one ``as_integer_ratio()`` call, and
+    ``holds`` is decided on those integers; the verdict's fields are
+    built as Fractions when first read.  Int parts give int norms, as int
+    arithmetic always has.  A pair with a float part, of a float subclass
+    too, is evaluated in float arithmetic.
     """
     zr, zi, wr, wi = z.re, z.im, w.re, w.im
     if (
@@ -359,13 +362,25 @@ def check_norm_product(z: ComplexScalar, w: ComplexScalar) -> NormProductVerdict
     ):
         norms = z.one_norm() * w.one_norm()
         return NormProductVerdict(norms / 2, (z * w).one_norm(), norms)
-    a, b, d = _over_common_denominator(z)
-    c, e, f = _over_common_denominator(w)
+    # One call per part: numerator and denominator are Python properties.
+    p, q = zr.as_integer_ratio()
+    r, s = zi.as_integer_ratio()
+    a, b, d = p * s, r * q, q * s
+    p, q = wr.as_integer_ratio()
+    r, s = wi.as_integer_ratio()
+    c, e, f = p * s, r * q, q * s
     norms = (abs(a) + abs(b)) * (abs(c) + abs(e))
     product_norm = abs(a * c - b * e) + abs(a * e + b * c)
-    if isinstance(zr, int) and isinstance(zi, int) and isinstance(wr, int) and isinstance(wi, int):
+    df = d * f
+    if (
+        df == 1
+        and isinstance(zr, int)
+        and isinstance(zi, int)
+        and isinstance(wr, int)
+        and isinstance(wi, int)
+    ):
         return NormProductVerdict._from_parts((norms, product_norm, None))
-    return NormProductVerdict._from_parts((norms, product_norm, d * f))
+    return NormProductVerdict._from_parts((norms, product_norm, df))
 
 
 def conjugation_keeps_norm(z: ComplexScalar) -> bool:
@@ -391,7 +406,14 @@ def scalar_to_json(value: Scalar):
 
 
 def scalar_from_json(raw) -> Scalar:
+    """A scalar from its JSON form: a string is an exact rational such as
+    "p/q", "p" or "1.25", a number is a float.  A string with an exponent
+    part ("1e5") raises ValueError: ``Fraction`` would expand it into an
+    integer exactly, which for "1e99999999999" takes unbounded time and
+    memory."""
     if isinstance(raw, str):
+        if "e" in raw or "E" in raw:
+            raise ValueError(f"exact scalar {raw!r} has an exponent part; write it as p/q")
         return Fraction(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"not a scalar: {raw!r}")

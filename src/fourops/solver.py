@@ -95,12 +95,18 @@ Along a direction zeta the line search reads f(z + r*zeta) off the same
 shift: at r = 2^-b it is an integer over K^2 * 2^(2bn)
 (``poly.gaussian_ray`` and ``poly.ray_square_modulus``), and both parts of
 the sufficient decrease compare integers, with no Fraction and no gcd per
-trial.  alpha, the direction pick and M are integer products as well.  A
-Fraction is built only for what the step's record reads (alpha, M, r,
-the accepted point and its f), and an int where every coefficient part
-and both parts of z are ints, which is what ``ComplexScalar`` arithmetic
-gives; so the exact iterates and records are those of the rational
-arithmetic, type for type.
+trial.  alpha, the direction pick and M are integer products as well.
+P(z) is b_0 = B_0 / (D d^n), so a descent takes f(z_start) =
+|B_0|^2 / (D d^n)^2 from the shift it builds at z_start, which its first
+round then uses, and ``find_all_roots`` takes the residual one-norm of
+each exact root as (|Re B_0| + |Im B_0|) / (D d^n) from the shift of the
+original polynomial there: an exact solve runs no ``Fraction`` Horner
+pass.  A Fraction is built only for a value that is returned or that
+the step's record reads (alpha, M, r, the accepted point and its f), and
+an int where every coefficient part and both parts of z are ints, which
+is what ``ComplexScalar`` arithmetic gives; so the exact iterates,
+records and residuals are those of the rational arithmetic, type for
+type.
 
 ``descent_start`` is the one origin rule of both backends: a descent
 begins at exact 0 on an exact polynomial and at 0.0 otherwise.
@@ -453,7 +459,9 @@ def descend_to_root(
             failure = f"Newton polish ended above the residual target after {len(steps)} steps"
     else:
         if exact:
-            f_z = poly.objective(z_start)
+            # The first round's shift, which holds f(z_start) in B_0.
+            shift = _ExactShift(gaussian, w)
+            f_z = shift.objective()
         else:
             # P(w) and P'(w), carried from round to round; f(w) from P(w).
             value, slope = horner_slope(coeffs, w)
@@ -471,13 +479,18 @@ def descend_to_root(
                 step = (None, z, f_z, 1, alpha, zeta, 1.0, 0, "newton")
                 f_z = f_trial
             else:
-                shift = _ExactShift(gaussian, w) if exact else _FloatShift(coeffs, w, value, slope)
+                if not exact:
+                    shift = _FloatShift(coeffs, w, value, slope)
+                elif shift is None:
+                    shift = _ExactShift(gaussian, w)
                 accepted = _descent_round(shift, z, f_z, max_backtracks)
                 if accepted is None:
                     failure = f"line search exhausted {max_backtracks} shrinks at every usable order"
                     break
                 step, w, f_z = accepted
-                if not exact:
+                if exact:
+                    shift = None
+                else:
                     value, slope = horner_slope(coeffs, w)
             z = w
             steps.append(step)
@@ -602,6 +615,26 @@ class _ExactShift:
         self.ints = ints and isinstance(z.re, int) and isinstance(z.im, int)
         self.norms = [abs(u) + abs(v) for u, v in zip(self.b_re, self.b_im)]
         self.order = shift_order(self.norms)
+
+    def _value_denom(self) -> int:
+        """K = D d^n, with P(z) = b_0 = B_0 / K."""
+        n = len(self.norms) - 1
+        return self.denom * self.point[2] ** n
+
+    def objective(self) -> Scalar:
+        """f(z) = |B_0|^2 / K^2."""
+        re, im = self.b_re[0], self.b_im[0]
+        s = re * re + im * im
+        if self.ints:
+            return s
+        k = self._value_denom()
+        return Fraction(s, k * k)
+
+    def residual(self) -> Scalar:
+        """one_norm(P(z)) = (|Re B_0| + |Im B_0|) / K."""
+        if self.ints:
+            return self.norms[0]
+        return Fraction(self.norms[0], self._value_denom())
 
     def alpha(self, k: int) -> ComplexScalar:
         """conj(P(z)) * b_k."""
@@ -781,8 +814,15 @@ def find_all_roots(poly: Polynomial, config: SolverConfig = DEFAULT_CONFIG) -> R
 def _package(
     original: Polynomial, roots: list[ComplexScalar], traces: list[DescentTrace]
 ) -> RootResult:
+    """The RootResult of the roots found so far.  An exact polynomial's
+    roots are exact, and each residual is read off the Gaussian integers
+    of its ``_ExactShift``."""
     ordered = tuple(sorted(roots, key=lambda z: (z.re, z.im)))
-    residuals = tuple(original.evaluate(z).one_norm() for z in ordered)
+    if original.is_exact():
+        gaussian = original.gaussian_coeffs()
+        residuals = tuple(_ExactShift(gaussian, z).residual() for z in ordered)
+    else:
+        residuals = tuple(original.evaluate(z).one_norm() for z in ordered)
     return RootResult(
         roots=ordered,
         residual_one_norms=residuals,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fourops
-from fourops import solver
+from fourops import scalars, solver
 from fourops.cli import TRACE_FIELDS, UsageError, _parse_term, main, parse_inline_coeffs
 from fourops.sampling import SplitMix64
 from fourops.scalars import ComplexScalar
@@ -215,6 +215,24 @@ def test_malformed_input_files_are_usage_errors(capsys, tmp_path, content, messa
     assert main([command, *flags, "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["solve", "trace"])
+def test_an_exponent_in_an_input_file_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    # Fraction would expand 10^99999999999 into an int, which takes
+    # unbounded time and memory; with Fraction stubbed out, reaching it
+    # fails the test instead.
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(scalars, "Fraction", no_fraction)
+    path = tmp_path / "exponent.json"
+    path.write_text('{"coeffs": [["1e99999999999", 0], [1, 0]]}')
+    flags = ["--csv", str(tmp_path / "steps.csv")] if command == "trace" else []
+    assert main([command, *flags, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad polynomial in ") and str(path) in err
+    assert "exponent" in err
 
 
 def test_solve_rejects_rational_beyond_float_range(capsys, tmp_path):

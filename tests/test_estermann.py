@@ -276,6 +276,56 @@ def test_termwise_verdict_behaves_as_a_frozen_dataclass():
         assert copy.copy(verdict) == verdict == copy.deepcopy(verdict)
 
 
+def test_zeta_power_equals_the_k_fold_product():
+    # Repeated squaring gives the integers of the literal k-fold product.
+    for k in range(2, 201, 2):
+        re, im = k * k - 1, 2 * k
+        pow_re, pow_im = 1, 0
+        for _ in range(k):
+            pow_re, pow_im = pow_re * re - pow_im * im, pow_re * im + pow_im * re
+        assert estermann._zeta_power(k) == (pow_re, pow_im), k
+
+
+def test_direct_verdict_equals_the_eager_one():
+    for k in (2, 4, 10, 40, 200):
+        eager = DirectVerdict(k, estermann_zeta(k).zeta_pow_k)
+        lazy = verify_lemma_direct(k)
+        assert hash(verify_lemma_direct(k)) == hash(eager)
+        assert verify_lemma_direct(k) == eager and eager == verify_lemma_direct(k)
+        assert repr(verify_lemma_direct(k)) == repr(eager)
+        assert lazy.holds and eager.holds
+        for verdict in (verify_lemma_direct(k), eager):
+            assert pickle.loads(pickle.dumps(verdict)) == eager
+            assert copy.copy(verdict) == eager == copy.deepcopy(verdict)
+            match verdict:
+                case DirectVerdict(kk, power):
+                    assert (kk, power) == (k, eager.power)
+                case _:
+                    pytest.fail("no match")
+    assert verify_lemma_direct(4) != verify_lemma_direct(6)
+    assert not DirectVerdict(2, C(Fraction(7, 16), Fraction(3, 2))).holds
+
+
+def test_an_unread_direct_verdict_builds_no_field(monkeypatch):
+    monkeypatch.setattr(estermann, "Fraction", _NoFraction)
+    monkeypatch.setattr(scalars, "Fraction", _NoFraction)
+    verdict = verify_lemma_direct(200)
+    assert verdict.holds
+    for name in verdict.__match_args__:
+        with pytest.raises(AttributeError):
+            object.__getattribute__(verdict, name)
+    with pytest.raises(AttributeError):
+        verdict.power = None
+    monkeypatch.undo()
+    assert verdict.power == estermann_zeta(200).zeta_pow_k
+
+
+def test_direct_rejects_bad_k():
+    for bad in (0, 1, 3, -2, 2.0):
+        with pytest.raises(ValueError):
+            verify_lemma_direct(bad)
+
+
 def test_termwise_table_too_small():
     with pytest.raises(ValueError):
         verify_lemma_termwise(10, BinomialTable(19))

@@ -248,3 +248,62 @@ def test_first_exact_step_on_fractions_records_fractions():
         assert step.z == C(0, 0) and step.direction.zeta == C(1, 0)
         values = (step.alpha.re, step.alpha.im, step.m_bound, step.f_value)
         assert all(type(v) is Fraction for v in values), coeffs
+
+
+def test_exact_shift_objective_and_residual_match_the_fraction_kernels():
+    # f(z) = |B_0|^2 / K^2 and one_norm(P(z)) = (|Re B_0| + |Im B_0|) / K,
+    # in value and in type: int where every part is an int.
+    rng = SplitMix64(33)
+    for _ in range(500):
+        p, z = random_case(rng)
+        shift = solver._ExactShift(p.gaussian_coeffs(), z)
+        assert repr(shift.objective()) == repr(p.objective(z)), (p, z)
+        assert repr(shift.residual()) == repr(p.evaluate(z).one_norm()), (p, z)
+
+
+# Int, denominator-1 Fraction, and mixed-part coefficients (one part an
+# int, the other a Fraction).
+EXACT_KINDS = [
+    Polynomial.from_roots([C(1, 2), C(-3, 0), C(2, -1)]),
+    Polynomial.from_scalars([2, -3, 1]),
+    Polynomial.from_scalars([Fraction(2), Fraction(-3), Fraction(1)]),
+    Polynomial((C(Fraction(2), 1), C(-3, Fraction(0)), C(1, 0))),
+    Polynomial((C(2, Fraction(1, 2)), C(-3, 0), C(Fraction(1, 3), 1))),
+    Polynomial.from_roots([C(Fraction(1, 2), 0), C(0, Fraction(-2, 3))]),
+]
+
+
+def test_exact_start_objective_and_residuals_keep_the_fraction_kernels_types():
+    for p in EXACT_KINDS:
+        for z in (C(0, 0), C(1, -1), C(Fraction(1, 2), 2), C(Fraction(3), 0)):
+            try:
+                _, trace = solver.descend_to_root(p, z)
+            except solver.ConvergenceError as err:
+                trace = err.trace
+            f_start = trace.steps[0].f_value if trace.steps else trace.final_f
+            assert repr(f_start) == repr(p.objective(z)), (p, z)
+        result = find_all_roots(p)
+        want = tuple(p.evaluate(z).one_norm() for z in result.roots)
+        assert repr(result.residual_one_norms) == repr(want), p
+        # A polish starts at a root found on the deflated polynomial.
+        for trace in result.traces:
+            if trace.phase == "polish":
+                assert repr(trace.steps[0].f_value) == repr(p.objective(trace.start)), p
+
+
+def test_an_exact_solve_evaluates_no_fraction_objective(monkeypatch):
+    calls = {"objective": 0, "evaluate": 0}
+    for name in calls:
+        method = getattr(Polynomial, name)
+
+        def counted(self, z, name=name, method=method):
+            calls[name] += 1
+            return method(self, z)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    for p in EXACT_KINDS:
+        find_all_roots(p)
+    assert calls == {"objective": 0, "evaluate": 0}
+    # The counter counts: a float solve reads its residuals with evaluate.
+    find_all_roots(EXACT_KINDS[0].to_float())
+    assert calls["evaluate"] == 3

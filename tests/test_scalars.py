@@ -209,6 +209,40 @@ def test_norm_product_holds_builds_no_fraction(monkeypatch):
         assert got == want and repr(got) == repr(want), (z, w)
 
 
+class _Float(float):
+    """A float subclass, as numpy.float64 is."""
+
+
+def test_norm_product_field_types():
+    # Int parts keep int fields (the lower bound is a Fraction, a half).
+    v = check_norm_product(C(3, -4), C(-2, 5))
+    assert [type(x) for x in (v.lower_bound, v.product_norm, v.upper_bound)] == [
+        Fraction,
+        int,
+        int,
+    ]
+    # Parts with denominator 1 give d*f = 1 and Fraction fields.
+    for z, w in ((C(F(3), F(-4)), C(F(2), F(5))), (C(F(3), 4), C(2, F(-5))), (C(3, 4), C(F(2), 5))):
+        for pair in ((z, w), (w, z)):
+            v = check_norm_product(*pair)
+            assert {type(x) for x in (v.lower_bound, v.product_norm, v.upper_bound)} == {Fraction}
+            assert repr(v) == repr(_reference_norm_product(*pair))
+    # A part of a float subclass takes the float branch.
+    _assert_float_branch(_Float(1.5))
+    numpy = pytest.importorskip("numpy")
+    _assert_float_branch(numpy.float64(1.5))
+
+
+def _assert_float_branch(part):
+    for z, w in ((C(part, -2), C(F(1, 4), 3)), (C(F(1, 4), 3), C(-2, part))):
+        v = check_norm_product(z, w)
+        assert {type(x) for x in (v.lower_bound, v.product_norm, v.upper_bound)} <= {
+            float,
+            type(part),
+        }
+        assert v == _reference_norm_product(z, w) and v.holds
+
+
 @pytest.mark.parametrize("df", [None, 1, 6, 2**61 - 1])
 @pytest.mark.parametrize("norms", [0, 1, 4, 7, 10, 2**70 + 1])
 def test_integer_norm_predicate_agrees_with_the_fraction_fields_at_the_bounds(norms, df):
@@ -372,6 +406,20 @@ def test_scalar_serialization():
     assert scalar_from_json(0.25) == 0.25
     with pytest.raises(ValueError):
         scalar_from_json(None)
+
+
+def test_scalar_with_an_exponent_is_rejected_before_fraction_sees_it(monkeypatch):
+    # Fraction("1e99999999999") builds 10^99999999999 exactly, which takes
+    # unbounded time and memory; with Fraction stubbed out, reaching it
+    # fails the test instead.
+    monkeypatch.setattr(scalars, "Fraction", _NoFraction)
+    for raw in ("1e99999999999", "1E99999999999", "-2.5e-3", "1e-99999999999", "3/2e5"):
+        with pytest.raises(ValueError, match="exponent"):
+            scalar_from_json(raw)
+    monkeypatch.undo()
+    assert scalar_from_json("1.25") == Fraction(5, 4)
+    for value in (Fraction(-7, 16), Fraction(10**30, 3), 2, 0):
+        assert scalar_from_json(scalar_to_json(value)) == value
 
 
 def test_complex_serialization_roundtrip():
