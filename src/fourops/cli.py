@@ -7,7 +7,7 @@ Subcommands:
   for every even k up to a bound, one report line per k.
 * ``check-norms``: seeded random verification of the taxicab norm
   product inequalities and the conjugation identity.
-* ``nth-root``: positive real n-th root via a polynomial solve.
+* ``nth-root``: positive real n-th root by one descent on z^n - c.
 * ``trace``: run one descent and export the per-step CSV record.
 
 ``solve``, ``trace`` and ``nth-root`` take the one solver setting,
@@ -222,7 +222,7 @@ def cmd_nth_root(args) -> int:
         value = positive_nth_root(args.c, args.n, config)
     except ValueError as err:  # n or c out of range
         raise UsageError(str(err)) from None
-    except (SolveError, ArithmeticError) as err:
+    except (ConvergenceError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     print(repr(value))

@@ -328,17 +328,16 @@ def gaussian_parts(z) -> tuple[int, int, int]:
     least common denominator of its parts.  The exact solver's iterates
     have parts that share most of their denominator, so the lcm keeps its
     integers far smaller than the product would."""
-    re, im = z.real, z.imag
-    d = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+    (p, q), (r, s) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = math.lcm(q, s)
+    return p * (d // q), r * (d // s), d
 
 
 def _over_common_denominator(z: ComplexScalar) -> tuple[int, int, int]:
     """Integers (a, b, d) with z = (a + b*i)/d and d > 0; z exact.  d is
     the product of the part denominators: for the unrelated denominators
     of sampled values the lcm's gcd costs more than it saves."""
-    p, q = z.re.numerator, z.re.denominator
-    r, s = z.im.numerator, z.im.denominator
+    (p, q), (r, s) = z.re.as_integer_ratio(), z.im.as_integer_ratio()
     return p * s, r * q, q * s
 
 

@@ -32,9 +32,10 @@ One descent round at a point z:
        f(z + r*zeta) <= f(z) - (1/2) * r^k * |Re[alpha * zeta^k]|
 
    holds (the right side tracks the leading term 2 r^k Re[alpha*zeta^k]
-   of the expansion of f along the ray).  The schedule is not a setting:
-   the per-step certificate of ``certified_decrease_bound`` is a theorem
-   only for a first trial at 1 and each next trial at half the last.
+   of the expansion of f along the ray); a float trial whose f leaves the
+   float range fails.  The schedule is not a setting: the per-step
+   certificate of ``certified_decrease_bound`` is a theorem only for a
+   first trial at 1 and each next trial at half the last.
 
 In both backends, when the line search exhausts its shrinks, the round
 is retried at the next nonzero order.  That happens next to a critical
@@ -72,8 +73,8 @@ of a float round; ``_descent_round`` is the candidate round of both
 backends: steering, escalation, the rule and the parts of the step.
 Every step, exact or float, Newton or candidate, is kept as the same
 parts, its round's shift among them (None for Newton), and
-``_step_record`` builds its ``DescentStep``, M with it, when its trace is
-first read (``DescentTrace``).
+``_step_record`` builds its ``DescentStep``, M by ``_decrease_bound`` on
+the shift's ``norms``, when its trace is first read (``DescentTrace``).
 
 In floats the shift, the order, alpha, the direction, the bound M and
 every line-search trial stay in ``complex``, through the kernels of
@@ -95,14 +96,15 @@ Along a direction zeta the line search reads f(z + r*zeta) off the same
 shift: at r = 2^-b it is an integer over K^2 * 2^(2bn)
 (``poly.gaussian_ray`` and ``poly.ray_square_modulus``), and both parts of
 the sufficient decrease compare integers, with no Fraction and no gcd per
-trial.  alpha, the direction pick and M are integer products as well.
+trial.  alpha and the direction pick are integer products as well.
 P(z) is b_0 = B_0 / (D d^n), so a descent takes f(z_start) =
 |B_0|^2 / (D d^n)^2 from the shift it builds at z_start, which its first
 round then uses, and ``find_all_roots`` takes the residual one-norm of
 each exact root as (|Re B_0| + |Im B_0|) / (D d^n) from the shift of the
 original polynomial there: an exact solve runs no ``Fraction`` Horner
-pass.  A Fraction is built only for a value that is returned or that
-the step's record reads (alpha, M, r, the accepted point and its f), and
+pass.  A Fraction is built only for a value that is returned or that a
+record or an escalation reads (alpha, the norms of the b_j, M, r, the
+accepted point and its f), and
 an int where every coefficient part and both parts of z are ints, which
 is what ``ComplexScalar`` arithmetic gives; so the exact iterates,
 records and residuals are those of the rational arithmetic, type for
@@ -119,7 +121,7 @@ pass), taken while each lowers f, for at most POLISH_MAX_OUTER steps;
 the exact polish is up to POLISH_MAX_OUTER descent rounds.  A root whose
 polish ends above the residual target on the original polynomial fails
 the solve with SolveError, so every returned root meets it.
-``positive_nth_root`` reduces real n-th roots to a solve of z^n - c.
+``positive_nth_root`` reads a real n-th root off one descent on z^n - c.
 """
 
 from __future__ import annotations
@@ -513,7 +515,8 @@ def _step_record(shift, z, f_z, order: int, alpha, direction, r, backtracks: int
         zeta = ComplexScalar(direction.real, direction.imag)
         direction, m_bound = DirectionCandidate(zeta, zeta), None
     else:
-        m_bound = shift.bound(order, direction.zeta.one_norm())
+        norms = shift.norms
+        m_bound = _decrease_bound(norms[0], norms[order:], direction.zeta.one_norm(), order)
     alpha = ComplexScalar(alpha.real, alpha.imag)
     return DescentStep(z, f_z, order, alpha, direction, r, backtracks, m_bound, rule)
 
@@ -571,22 +574,20 @@ class _FloatShift:
         """conj(P(w)) * b_k; past order 1 only after ``norms`` built b."""
         return self.value.conjugate() * (self.slope if k == 1 else self.b[k])
 
-    def bound(self, k: int, zeta_norm) -> Scalar:
-        """M of ``certified_decrease_bound`` at order k."""
-        norms = self.norms
-        return _decrease_bound(norms[0], norms[k:], zeta_norm, k)
-
     def search(self, zeta: complex, k: int, descent_rate, f_z, max_backtracks: int):
         """The line search along zeta at order k over r = 1, 1/2, ...:
         (backtracks, r, the trial point, f there) for the first trial with
-        sufficient decrease, or None."""
+        sufficient decrease, or None; a trial past the float range fails."""
         coeffs, z_re, z_im = self.coeffs, self.w.real, self.w.imag
         zeta_re, zeta_im = zeta.real, zeta.imag
         r = 1.0
         for backtracks in range(max_backtracks + 1):
             # w + zeta * r, built from its parts.
             trial = complex(z_re + zeta_re * r, z_im + zeta_im * r)
-            f_trial = square_modulus(coeffs, trial)
+            try:
+                f_trial = square_modulus(coeffs, trial)
+            except NonFiniteObjectiveError:  # past the float range: a failed trial
+                f_trial = math.inf
             # The strict part guards against zero steps once r underflows.
             if f_trial < f_z and 2 * (f_z - f_trial) >= r**k * descent_rate:
                 return backtracks, r, trial, f_trial
@@ -596,15 +597,15 @@ class _FloatShift:
 
 class _ExactShift:
     """An exact round's Taylor shift at z on Gaussian integers
-    (``gaussian_shifted``), with its line search and bound on integers.
-    ``norms`` holds the numerators |Re B_j| + |Im B_j|, which are 0 exactly
-    when b_j is.
+    (``gaussian_shifted``), with its line search on integers.  ``nums``
+    holds the numerators |Re B_j| + |Im B_j|, 0 exactly when b_j is, and
+    ``norms`` the one-norms of the b_j, built from them on first read.
 
     Values leave as ints where every coefficient part and both parts of z
     are ints, and as Fractions otherwise, the types that the same
     arithmetic on ``ComplexScalar`` gives."""
 
-    __slots__ = ("point", "denom", "b_re", "b_im", "ints", "norms", "order")
+    __slots__ = ("point", "denom", "b_re", "b_im", "ints", "nums", "_norms", "order")
 
     def __init__(self, gaussian: tuple, z: ComplexScalar):
         re, im, self.denom, ints = gaussian
@@ -613,12 +614,21 @@ class _ExactShift:
         # b_j = B_j / (D d^(n-j)).
         self.b_re, self.b_im = gaussian_shifted(re, im, x, y, d)
         self.ints = ints and isinstance(z.re, int) and isinstance(z.im, int)
-        self.norms = [abs(u) + abs(v) for u, v in zip(self.b_re, self.b_im)]
-        self.order = shift_order(self.norms)
+        self.nums = [abs(u) + abs(v) for u, v in zip(self.b_re, self.b_im)]
+        self._norms = self.nums if self.ints else None
+        self.order = shift_order(self.nums)
+
+    @property
+    def norms(self) -> list:
+        """one_norm of each b_j, nums_j / (D d^(n-j)), built on first read."""
+        if self._norms is None:
+            n, d, denom = len(self.nums) - 1, self.point[2], self.denom
+            self._norms = [Fraction(v, denom * d ** (n - j)) for j, v in enumerate(self.nums)]
+        return self._norms
 
     def _value_denom(self) -> int:
         """K = D d^n, with P(z) = b_0 = B_0 / K."""
-        n = len(self.norms) - 1
+        n = len(self.nums) - 1
         return self.denom * self.point[2] ** n
 
     def objective(self) -> Scalar:
@@ -633,8 +643,8 @@ class _ExactShift:
     def residual(self) -> Scalar:
         """one_norm(P(z)) = (|Re B_0| + |Im B_0|) / K."""
         if self.ints:
-            return self.norms[0]
-        return Fraction(self.norms[0], self._value_denom())
+            return self.nums[0]
+        return Fraction(self.nums[0], self._value_denom())
 
     def alpha(self, k: int) -> ComplexScalar:
         """conj(P(z)) * b_k."""
@@ -642,34 +652,9 @@ class _ExactShift:
         re, im = re0 * rek + im0 * imk, re0 * imk - im0 * rek
         if self.ints:
             return ComplexScalar(re, im)
-        n, d = len(self.norms) - 1, self.point[2]
+        n, d = len(self.nums) - 1, self.point[2]
         den = self.denom * self.denom * d ** (2 * n - k)
         return ComplexScalar(Fraction(re, den), Fraction(im, den))
-
-    def bound(self, k: int, zeta_norm) -> Scalar:
-        """``_decrease_bound`` at order k on integers.  With nu_j the
-        numerators in ``norms``, zeta_norm = u/q, t = d u, m = n - k and
-        G = D d^m, the quotient's norms are nu_(k+i) d^i / G, and
-        R = sum over 1 <= i <= m of nu_(k+i) t^(i-1) q^(m-i) gives
-        M1 = nu_0 u^(k+1) d R / (D d^n G q^n) and
-        M2 = (u^k (t R + nu_k q^m))^2 / (G q^n)^2."""
-        nu, d, denom = self.norms, self.point[2], self.denom
-        n = len(nu) - 1
-        u, q = zeta_norm.numerator, zeta_norm.denominator
-        t = d * u
-        rest, q_pow = 0, 1
-        for j in range(n, k, -1):
-            rest = rest * t + nu[j] * q_pow
-            q_pow *= q
-        m1 = nu[0] * u ** (k + 1) * d * rest
-        m2 = u**k * (rest * t + nu[k] * q_pow)
-        m2 *= m2
-        g_qn = denom * d ** (n - k) * q**n
-        base = denom * d**n
-        num = 2 * m1 * g_qn + m2 * base
-        if self.ints and isinstance(zeta_norm, int):
-            return num
-        return Fraction(num, base * g_qn * g_qn)
 
     def search(self, zeta: ComplexScalar, k: int, descent_rate, f_z, max_backtracks: int):
         """``_FloatShift.search`` on integers.  With C and K of
@@ -845,8 +830,13 @@ def _real_pow(x: float, n: int) -> float:
 
 
 def positive_nth_root(c: float, n: int, config: SolverConfig = DEFAULT_CONFIG) -> float:
-    """The positive real x with x^n = c (c > 0, integer n >= 2), found by
-    solving z^n - c = 0 and keeping the root on the positive real axis."""
+    """The positive real x with x^n = c (c > 0, integer n >= 2), the real
+    part of the root that one descent on z^n - c from 0.0 and its polish
+    reach, the first root of ``find_all_roots``: from 0 the order is n and
+    alpha = -c, so the candidate 1 wins, and every step stays on the
+    positive real axis.  Raises ValueError for n or c out of range, what
+    ``descend_to_root`` raises, and ArithmeticError when x <= 0 or x^n
+    misses c by more than the residual target."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     c = float(c)
@@ -856,13 +846,13 @@ def positive_nth_root(c: float, n: int, config: SolverConfig = DEFAULT_CONFIG) -
     coeffs = [ComplexScalar(-c, 0.0)]
     coeffs.extend(ComplexScalar(0.0, 0.0) for _ in range(n - 1))
     coeffs.append(ComplexScalar(1.0, 0.0))
-    result = find_all_roots(Polynomial(tuple(coeffs)), config)
+    poly = Polynomial(tuple(coeffs))
+    root, _ = descend_to_root(poly, FLOAT_ORIGIN, config)
+    root, _ = descend_to_root(poly, root, config, phase="polish")
 
-    on_axis = [z for z in result.roots if z.re > 0]
-    if not on_axis:
-        raise ArithmeticError(f"no root with positive real part for c={c}, n={n}")
-    root = min(on_axis, key=lambda z: abs(z.im))
     x = root.re
+    if not x > 0:
+        raise ArithmeticError(f"no root with positive real part for c={c}, n={n}")
     residual = _real_pow(x, n) - c
     allowance = config.residual_tol * (1.0 + c)  # coefficient one-norm of z^n - c
     if residual * residual > allowance * allowance:

@@ -8,8 +8,9 @@ shift by repeated synthetic division, the order as the first nonzero
 coefficient past the constant, in floats the Newton step
 zeta = -b0 conj(b1) / |b1|^2 taken at r = 1 when it halves f, else
 alpha = conj(P(z)) * Q(0), the steepest candidate, the bound M, and the
-backtracking line search with its sufficient-decrease test, plus the
-retry at the next nonzero order when the line search runs out or alpha
+backtracking line search with its sufficient-decrease test, where a
+trial whose objective leaves the float range fails as a Newton trial
+does, plus the retry at the next nonzero order when the line search runs out or alpha
 underflows to 0, in both backends.  The float polish is Newton
 steps on P and P' from a two-row Horner pass while f falls, checked
 against the residual target at the end.  Every descent starts at 0: exact
@@ -99,7 +100,10 @@ def ref_bound(base, quotient, zeta, k):
         weight = weight * zeta_norm
     zeta_norm_k = zeta_norm**k
     m1 = base.one_norm() * zeta_norm_k * zeta_norm * weighted_rest
-    m2 = (zeta_norm_k * weighted_all) ** 2
+    try:
+        m2 = (zeta_norm_k * weighted_all) ** 2
+    except OverflowError:  # float ** raises where * gives inf
+        m2 = float("inf")
     return 2 * m1 + m2
 
 
@@ -205,8 +209,15 @@ def ref_descend(p, z_start, config=SolverConfig(), phase="descent", escalations=
                 r = step_init
                 for backtracks in range(max_backtracks + 1):
                     trial = C(z.re + cand.zeta.re * r, z.im + cand.zeta.im * r)
-                    f_trial = ref_objective(p, trial)
-                    if f_trial < f_z and 2 * (f_z - f_trial) >= r**order * -num:
+                    try:
+                        f_trial = ref_objective(p, trial)
+                    except NonFiniteObjectiveError:
+                        f_trial = None
+                    if (
+                        f_trial is not None
+                        and f_trial < f_z
+                        and 2 * (f_z - f_trial) >= r**order * -num
+                    ):
                         accepted = (trial, f_trial, r, backtracks)
                         break
                     r = r * shrink
@@ -408,14 +419,11 @@ def test_non_finite_objective_message_matches_reference():
         with pytest.raises(NonFiniteObjectiveError) as ref_start_error:
             ref_descend(p, C(0.0, 0.0), SolverConfig(), phase)
         assert str(start.value) == str(ref_start_error.value)
-    # The line search: f at the start is about 1e300, the first trial overflows.
+    # The line search: f at the start is about 1e300, the first trial
+    # overflows and fails, and the search goes on at r = 1/2.
     q = Polynomial((C(1e150, 0.0), C(1e155, 1e155)))
     start = C(0.0, 0.0)
-    with pytest.raises(NonFiniteObjectiveError) as search:
-        descend_to_root(q, start)
-    with pytest.raises(NonFiniteObjectiveError) as ref_search:
-        ref_descend(q, start)
-    assert str(search.value) == str(ref_search.value)
-    assert str(search.value) == (
-        "objective at ComplexScalar(re=-1.0, im=0.0) is not a finite real number"
-    )
+    got = outcome(descend_to_root, q, start)
+    assert got == outcome(ref_descend, q, start)
+    _, trace = descend_to_root(q, start)
+    assert trace.converged and trace.steps[0].backtracks > 0

@@ -2,9 +2,10 @@
 kernels that stay in ``poly`` and ``estermann``.
 
 The exact round runs its Taylor shift, its line search, the steering
-value alpha, the direction pick and the bound M on integer numerators
-over common denominators, and builds a ``Fraction`` only for what an
-accepted ``DescentStep`` records.  Each integer kernel is compared here
+value alpha and the direction pick on integer numerators over common
+denominators, and builds a ``Fraction`` only for what an accepted
+``DescentStep`` records, the one-norms that its bound M reads among
+them.  Each integer kernel is compared here
 with the ``ComplexScalar`` arithmetic it replaces, by ``==`` and, for
 every value that a step records, by ``repr``: the repr carries the type,
 and an int-coefficient solve at exact 0 records ints where a Fraction
@@ -99,6 +100,8 @@ def test_shift_alpha_and_bound_match_fraction_kernels():
         shift = solver._ExactShift(p.gaussian_coeffs(), z)
         assert shift.order == shift_order(norms)
         ints_cases += shift.ints
+        # By value: an integral b_j's norm is Fraction(m, 1) here and m there.
+        assert shift.norms == norms
         for k in range(1, n + 1):
             if b[k].is_zero:
                 assert shift.norms[k] == 0
@@ -108,7 +111,8 @@ def test_shift_alpha_and_bound_match_fraction_kernels():
             for candidate in candidate_set(k):
                 zeta_norm = candidate.zeta.one_norm()
                 want = solver._decrease_bound(norms[0], norms[k:], zeta_norm, k)
-                assert repr(shift.bound(k, zeta_norm)) == repr(want)
+                got = solver._decrease_bound(shift.norms[0], shift.norms[k:], zeta_norm, k)
+                assert repr(got) == repr(want)
     assert ints_cases > 300
 
 

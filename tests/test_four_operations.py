@@ -59,7 +59,6 @@ ABS_SITES = {
     ("scalars", "conjugation_keeps_norm", "e"): "integer numerator of Im conj(z)",
     ("solver", "_ExactShift.__init__", "u"): "integer numerator of Re B_j",
     ("solver", "_ExactShift.__init__", "v"): "integer numerator of Im B_j",
-    ("solver", "positive_nth_root", "z.im"): "the imaginary part of a root",
     ("solver", "positive_nth_root", "residual"): "x^n - c for a float x",
 }
 

@@ -320,6 +320,24 @@ def test_gaussian_parts_use_the_least_common_denominator():
         assert d == math.lcm(z.re.denominator, z.im.denominator)
 
 
+def test_integer_parts_match_the_numerator_and_denominator_formulas():
+    # Both helpers read a part with one as_integer_ratio() call; the
+    # integers are those of the numerator and denominator properties.
+    rng = SplitMix64(16)
+    parts = [0, 7, -3, Fraction(0), Fraction(6), Fraction(-5, 4)]
+    values = [C(a, b) for a in parts for b in parts]
+    for _ in range(2000):
+        z = random_exact_complex(rng)
+        values += [z, C(int(z.re * 8), z.im), C(z.re, int(z.im * 8))]
+    for z in values:
+        p, q, r, s = z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator
+        d = math.lcm(q, s)
+        want = (p * (d // q), r * (d // s), d)
+        assert gaussian_parts(z) == want
+        assert all(type(v) is int for v in gaussian_parts(z))
+        assert scalars._over_common_denominator(z) == (p * s, r * q, q * s)
+
+
 def test_triangle_inequality_random():
     rng = SplitMix64(14)
     for _ in range(1000):

@@ -11,6 +11,7 @@ from fourops.scalars import ComplexScalar, ZERO
 from fourops.solver import (
     DEFAULT_CONFIG,
     EXACT_MAX_DEGREE,
+    FLOAT_ORIGIN,
     ConvergenceError,
     SolveError,
     SolverConfig,
@@ -303,6 +304,18 @@ def test_objective_out_of_float_range_is_a_solve_error():
     assert err.partial.iterations == 0
 
 
+def test_a_line_search_trial_past_the_float_range_is_a_failed_trial():
+    # The second descent on the all-ones polynomial of degree 549 meets
+    # trials such as 0.375 + 1.90625i, where |P|^2 overflows: the line
+    # search halves r there and goes on, where it used to end the solve.
+    poly = Polynomial.from_scalars([1.0] * 550)
+    root, _ = descend_to_root(poly, FLOAT_ORIGIN)
+    root, _ = descend_to_root(poly, root, phase="polish")
+    work, _ = poly.deflate(root)
+    _, trace = descend_to_root(work, FLOAT_ORIGIN)
+    assert trace.converged and trace.steps[0].backtracks > 0
+
+
 def test_steering_value_out_of_float_range_is_a_solve_error():
     # f(0) is finite, but alpha = conj(P(0)) * P'(0) overflows to
     # (inf, -9.6e113), so no float direction has Re[alpha * zeta] < 0.
@@ -416,6 +429,51 @@ def test_nth_root_rejects_bad_input():
         positive_nth_root(2.0, 1)
     with pytest.raises(ValueError):
         positive_nth_root(2.0, True)
+
+
+def all_roots_nth_root(c, n):
+    """The rule that one descent replaced: every root of z^n - c, then the
+    one with Re > 0 and the least |Im|, checked as ``positive_nth_root``
+    checks its root.  A failed solve gives the type of its cause."""
+    poly = P(-c, *[0.0] * (n - 1), 1.0)
+    try:
+        roots = find_all_roots(poly).roots
+    except SolveError as err:
+        return type(err.cause).__name__
+    on_axis = [z for z in roots if z.re > 0]
+    if not on_axis:
+        return "ArithmeticError"
+    x = min(on_axis, key=lambda z: abs(z.im)).re
+    power = 1.0
+    for _ in range(n):
+        power *= x
+    allowance = DEFAULT_CONFIG.residual_tol * (1.0 + c)
+    if (power - c) * (power - c) > allowance * allowance:
+        return "ArithmeticError"
+    return repr(x)
+
+
+def test_nth_root_is_the_all_roots_answer_from_one_descent(monkeypatch):
+    rng = SplitMix64(36)
+    cases = []
+    for n in (2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32, 48, 64):
+        for _ in range(11):
+            e = -8 + 14 * rng.unit_float()
+            cases.append((min((1 + rng.unit_float()) * 10**e, 2e6), n))
+    want = [all_roots_nth_root(c, n) for c, n in cases]
+    calls = []
+    monkeypatch.setattr(solver, "find_all_roots", lambda *args: calls.append(args))
+    got = []
+    for c, n in cases:
+        try:
+            got.append(repr(positive_nth_root(c, n)))
+        except ArithmeticError as err:  # NonFiniteObjectiveError included
+            got.append(type(err).__name__)
+        except ConvergenceError:
+            got.append("ConvergenceError")
+    assert got == want
+    assert calls == []
+    assert sum(w[0].isdigit() for w in want) >= 150
 
 
 # ---------------------------------------------------------------------------
